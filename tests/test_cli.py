@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -129,6 +130,18 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert "witness" in out
+
+
+class TestReportContract:
+    """The JSON report is a reproducibility contract: pin its bytes."""
+
+    def test_verify_all_json_digest(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "all", "--json", "--max-arity", "4", "--samples", "50", "--seed", "0"
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "0fdcb7b0996c013e0eb9421f06a6d721456acfeb7d7ec4430b8cf47daaac45bc"
 
 
 class TestMutationSmoke:
