@@ -8,8 +8,6 @@ structure rests on.
 """
 
 from .ainfty import (
-    GeneratorWord,
-    SpliceDecomposition,
     a_infinity_boundary_image,
     a_infinity_image,
     a_infinity_sign,
@@ -65,7 +63,6 @@ from .formats import (
 )
 from .operad import (
     UNIT,
-    CompositionSplit,
     boundary,
     boundary_basis,
     check_derivation,
@@ -74,15 +71,11 @@ from .operad import (
     compose_basis,
     composition_splits,
     koszul_sign,
-    top_insertion_sum,
 )
 from .reports import VerificationReport
 from .surjections import (
-    OccurrenceInfo,
     Surjection,
     insert_top_lobe,
-    occurrence_info,
-    relative_degree,
 )
 
 __version__ = "0.1.0"
@@ -90,22 +83,17 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "Surjection",
-    "OccurrenceInfo",
-    "relative_degree",
-    "occurrence_info",
     "insert_top_lobe",
     "Element",
     "as_element",
     "VerificationReport",
     "UNIT",
-    "CompositionSplit",
     "composition_splits",
     "koszul_sign",
     "compose_basis",
     "compose",
     "boundary_basis",
     "boundary",
-    "top_insertion_sum",
     "check_operad_axioms",
     "check_derivation",
     "LobeTree",
@@ -121,8 +109,6 @@ __all__ = [
     "prime_cacti_count",
     "avoids_prime_patterns",
     "length_cap",
-    "GeneratorWord",
-    "SpliceDecomposition",
     "all_words",
     "white_op",
     "black_op",

@@ -17,23 +17,24 @@ relative degree of u(1..j), and u~j the insertion of the new top lobe at
 position j.  Summing word images over all words of one arity gives the
 arity-n component of the homotopy-associative structure whose binary part
 is the symmetrized product (1,2) + (2,1).
+
+Every sum here (the word images of one arity, the splice sums of the
+boundary images) is streamed into ``Element.sum``, which adds each part
+into one dict in place; no intermediate total is ever copied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Union
 
 from .elements import Element, as_element
 from .errors import MaxValueNotUniqueError, OutOfRangeError, WordError
 from .operad import boundary, compose
-from .reports import VerificationReport, equality_report
+from .reports import VerificationReport, sides_report
 from .surjections import Surjection, insert_top_lobe, recurrence_prefix
 
 __all__ = [
-    "GeneratorWord",
-    "SpliceDecomposition",
     "all_words",
     "white_op",
     "black_op",
@@ -55,32 +56,10 @@ BLACK = "b"
 _BASE = {WHITE: (2, 1), BLACK: (1, 2)}
 
 
-def _letters(word: Union[str, "GeneratorWord"]) -> str:
-    letters = word.letters if isinstance(word, GeneratorWord) else word
+def _letters(letters: str) -> str:
     if not letters or any(ch not in "wb" for ch in letters):
         raise WordError(f"word {letters!r} must be a nonempty string over 'w'/'b'")
     return letters
-
-
-@dataclass(frozen=True)
-class GeneratorWord:
-    """A word over {'w', 'b'} naming one generator."""
-
-    letters: str
-
-    def __post_init__(self):
-        _letters(self.letters)
-
-    @property
-    def arity(self) -> int:
-        return len(self.letters) + 1
-
-    @property
-    def degree(self) -> int:
-        return len(self.letters) - 1
-
-    def __str__(self) -> str:
-        return self.letters
 
 
 def all_words(n: int) -> list[str]:
@@ -103,13 +82,12 @@ def _insertion_half(u: Surjection, before: bool) -> Element:
     top = _top_position(u)
     prefix = recurrence_prefix(u.seq)
     k = u.degree
-    acc: dict[Surjection, int] = {}
     positions = range(1, top) if before else range(top + 1, len(u.seq) + 1)
     outer = 1 if before else -1
-    for j in positions:
-        sign = outer * (-1 if (k + prefix[j - 1]) % 2 else 1)
-        acc[insert_top_lobe(u, j)] = sign
-    return Element(acc)
+    acc: dict[Surjection, int] = {}
+    for j in positions:  # distinct positions give distinct terms
+        acc[insert_top_lobe(u, j)] = outer * (-1 if (k + prefix[j - 1]) % 2 else 1)
+    return Element._trusted(acc)
 
 
 def white_op(a: Union[Element, Surjection]) -> Element:
@@ -129,7 +107,7 @@ def black_op(a: Union[Element, Surjection]) -> Element:
 _word_image_cache: dict[str, Element] = {}
 
 
-def word_image(word: Union[str, GeneratorWord]) -> Element:
+def word_image(word: str) -> Element:
     """The cactus chain of a word: fold white_op/black_op over its letters.
 
     Memoized; values are immutable and the fill is idempotent, so the
@@ -150,10 +128,7 @@ def word_image(word: Union[str, GeneratorWord]) -> Element:
 
 def a_infinity_image(n: int) -> Element:
     """Arity-n structure map: the sum of word images over all arity-n words."""
-    acc = Element.zero()
-    for letters in all_words(n):
-        acc = acc + word_image(letters)
-    return acc
+    return Element.sum((1, word_image(letters)) for letters in all_words(n))
 
 
 def a_infinity_sign(u: Surjection) -> int:
@@ -168,31 +143,6 @@ def a_infinity_sign(u: Surjection) -> int:
     return coeff
 
 
-@dataclass(frozen=True)
-class SpliceDecomposition:
-    """A way of growing a word by substituting an inner word into a slot.
-
-    Reassembly interleaves the outer word around the inner one:
-    (outer[0..slot-1], inner, outer[slot..]), with 1-based slot at most
-    the outer arity.
-    """
-
-    outer: str
-    inner: str
-    slot: int
-
-    @property
-    def outer_arity(self) -> int:
-        return len(self.outer) + 1
-
-    @property
-    def inner_arity(self) -> int:
-        return len(self.inner) + 1
-
-    def reassemble(self) -> str:
-        return splice(self.outer, self.slot, self.inner)
-
-
 def splice(outer: str, slot: int, inner: str) -> str:
     """Substitute the inner word into slot i of the outer word."""
     outer = _letters(outer)
@@ -203,34 +153,38 @@ def splice(outer: str, slot: int, inner: str) -> str:
     return outer[: slot - 1] + inner + outer[slot - 1 :]
 
 
-def splice_decompositions(word: Union[str, GeneratorWord]) -> Iterator[SpliceDecomposition]:
-    """All splice decompositions of a word, both factors of arity >= 2."""
+def splice_decompositions(word: str) -> Iterator[tuple[str, str, int]]:
+    """All ``(outer, inner, slot)`` with splice(outer, slot, inner) == word,
+    both factors of arity >= 2."""
     letters = _letters(word)
     n = len(letters) + 1
-    for p in range(2, n - 1 + 1):
+    for p in range(2, n):
         q = n + 1 - p
-        if q < 2:
-            continue
         for slot in range(1, p + 1):
             inner = letters[slot - 1 : slot - 1 + q - 1]
             outer = letters[: slot - 1] + letters[slot - 1 + q - 1 :]
-            yield SpliceDecomposition(outer=outer, inner=inner, slot=slot)
+            yield outer, inner, slot
 
 
-def word_boundary_image(word: Union[str, GeneratorWord]) -> Element:
+def _splice_sign(p: int, q: int, i: int) -> int:
+    """Sign of the splice outer o_i inner for factors of arities p and q."""
+    return -1 if (i - 1 + q * (p - i)) % 2 else 1
+
+
+def word_boundary_image(word: str) -> Element:
     """Image of the word generator's operadic boundary.
 
     Sums the composed images of every splice decomposition outer o_slot
     inner with sign (-1)**(slot - 1 + inner_arity * (outer_arity - slot)).
     Zero in arity 2, where no decomposition exists.
     """
-    letters = _letters(word)
-    acc = Element.zero()
-    for dec in splice_decompositions(letters):
-        p, q, i = dec.outer_arity, dec.inner_arity, dec.slot
-        sign = -1 if (i - 1 + q * (p - i)) % 2 else 1
-        acc = acc + sign * compose(word_image(dec.outer), i, word_image(dec.inner))
-    return acc
+    return Element.sum(
+        (
+            _splice_sign(len(outer) + 1, len(inner) + 1, slot),
+            compose(word_image(outer), slot, word_image(inner)),
+        )
+        for outer, inner, slot in splice_decompositions(word)
+    )
 
 
 def a_infinity_boundary_image(n: int) -> Element:
@@ -238,17 +192,16 @@ def a_infinity_boundary_image(n: int) -> Element:
     the same splice sum with both factors replaced by full structure maps."""
     if n < 2:
         raise ValueError(f"arity {n} has no generator")
-    acc = Element.zero()
-    for p in range(2, n - 1 + 1):
-        q = n + 1 - p
-        if q < 2:
-            continue
-        outer = a_infinity_image(p)
-        inner = a_infinity_image(q)
-        for i in range(1, p + 1):
-            sign = -1 if (i - 1 + q * (p - i)) % 2 else 1
-            acc = acc + sign * compose(outer, i, inner)
-    return acc
+
+    def parts() -> Iterator[tuple[int, Element]]:
+        for p in range(2, n):
+            q = n + 1 - p
+            outer = a_infinity_image(p)
+            inner = a_infinity_image(q)
+            for i in range(1, p + 1):
+                yield _splice_sign(p, q, i), compose(outer, i, inner)
+
+    return Element.sum(parts())
 
 
 def check_top_insertion_identities(u: Surjection) -> VerificationReport:
@@ -268,25 +221,21 @@ def check_top_insertion_identities(u: Surjection) -> VerificationReport:
     s21 = Surjection((2, 1))
     s12 = Surjection((1, 2))
 
-    failures = {}
-    lhs = white_op(eu) - black_op(eu)
-    rhs = sign * compose(s121, 1, eu) - compose(eu, n, as_element(s121))
-    if lhs != rhs:
-        failures["insertion-vs-121"] = {"lhs": str(lhs), "rhs": str(rhs)}
-
-    lhs = boundary(white_op(eu)) - white_op(boundary(eu))
-    rhs = sign * (compose(s21, 1, eu) - compose(eu, n, as_element(s21)))
-    if lhs != rhs:
-        failures["white-boundary"] = {"lhs": str(lhs), "rhs": str(rhs)}
-
-    lhs = boundary(black_op(eu)) - black_op(boundary(eu))
-    rhs = sign * (compose(s12, 1, eu) - compose(eu, n, as_element(s12)))
-    if lhs != rhs:
-        failures["black-boundary"] = {"lhs": str(lhs), "rhs": str(rhs)}
-
-    return VerificationReport(
-        check=f"top-insertion[{u}]", passed=not failures, witness=failures or None
-    )
+    sides = {
+        "insertion-vs-121": (
+            white_op(eu) - black_op(eu),
+            sign * compose(s121, 1, eu) - compose(eu, n, as_element(s121)),
+        ),
+        "white-boundary": (
+            boundary(white_op(eu)) - white_op(boundary(eu)),
+            sign * (compose(s21, 1, eu) - compose(eu, n, as_element(s21))),
+        ),
+        "black-boundary": (
+            boundary(black_op(eu)) - black_op(boundary(eu)),
+            sign * (compose(s12, 1, eu) - compose(eu, n, as_element(s12))),
+        ),
+    }
+    return sides_report(f"top-insertion[{u}]", sides)
 
 
 def check_insertion_composition(
@@ -308,22 +257,16 @@ def check_insertion_composition(
     e1, e2 = as_element(u1), as_element(u2)
     composed = compose(e1, i, e2)
 
-    failures = {}
+    sides = {}
     for name, op in (("white", white_op), ("black", black_op)):
-        lhs = op(composed)
         rhs = sign * compose(op(e1), i, e2)
         if i == p:
             rhs = rhs + compose(e1, p, op(e2))
-        if lhs != rhs:
-            failures[name] = {"lhs": str(lhs), "rhs": str(rhs)}
-    return VerificationReport(
-        check=f"insertion-composition[{u1},{i},{u2}]",
-        passed=not failures,
-        witness=failures or None,
-    )
+        sides[name] = (op(composed), rhs)
+    return sides_report(f"insertion-composition[{u1},{i},{u2}]", sides)
 
 
-def check_word_boundary_compat(word: Union[str, GeneratorWord]) -> VerificationReport:
+def check_word_boundary_compat(word: str) -> VerificationReport:
     """The four equations certifying one inductive step of the boundary law.
 
     For a word x of arity n, both the differential and the formal boundary
@@ -339,20 +282,16 @@ def check_word_boundary_compat(word: Union[str, GeneratorWord]) -> VerificationR
     n = len(letters) + 1
     sign = -1 if n % 2 else 1
     img = word_image(letters)
-    failures = {}
+    sides = {}
     for color, op in ((WHITE, white_op), (BLACK, black_op)):
         base = word_image(color)
         correction = sign * (compose(base, 1, img) - compose(img, n, base))
-
-        lhs = boundary(word_image(letters + color)) - op(boundary(img))
-        if lhs != correction:
-            failures[f"differential-{color}"] = {
-                "lhs": str(lhs),
-                "rhs": str(correction),
-            }
-        lhs = word_boundary_image(letters + color) - op(word_boundary_image(letters))
-        if lhs != correction:
-            failures[f"splice-{color}"] = {"lhs": str(lhs), "rhs": str(correction)}
-    return VerificationReport(
-        check=f"word-boundary[{letters}]", passed=not failures, witness=failures or None
-    )
+        sides[f"differential-{color}"] = (
+            boundary(word_image(letters + color)) - op(boundary(img)),
+            correction,
+        )
+        sides[f"splice-{color}"] = (
+            word_boundary_image(letters + color) - op(word_boundary_image(letters)),
+            correction,
+        )
+    return sides_report(f"word-boundary[{letters}]", sides)

@@ -7,6 +7,7 @@ Exit codes: 0 success (or all checks verified), 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional
@@ -146,12 +147,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "suites": [
                 {
                     "suite": name,
-                    "config": {
-                        "max_arity": cfg.max_arity,
-                        "samples": cfg.samples,
-                        "seed": cfg.seed,
-                        "fail_fast": cfg.fail_fast,
-                    },
+                    "config": dataclasses.asdict(cfg),
                     "reports": [r.to_json() for r in reports],
                 }
                 for name, cfg, reports in results

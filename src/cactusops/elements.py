@@ -4,18 +4,49 @@ Coefficients are exact Python integers; terms with coefficient zero are
 never stored.  Terms are kept in a plain dict and sorted lexicographically
 whenever an ordering is visible (iteration, serialization, equality of
 string forms).
+
+Every sum in the package goes through one in-place update, ``_accumulate``.
+``Element.sum`` streams ``(coeff, Element)`` parts through it; the operad
+kernels feed it ``(term, sign)`` pairs and wrap the finished dict with
+``Element._trusted``, which skips validation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import NotHomogeneousError
 from .surjections import Surjection
 
 __all__ = ["Element", "as_element"]
 
-TermsLike = Union[Mapping[Surjection, int], Iterable[tuple[Surjection, int]]]
+
+def _accumulate(
+    data: dict[Surjection, int], pairs: Iterable[tuple[Surjection, int]], scale: int = 1
+) -> None:
+    """Add scale * coeff to data[term] for each (term, coeff), in place.
+
+    Terms whose coefficient becomes zero are removed, so ``data`` never
+    holds a zero coefficient.
+    """
+    get = data.get
+    for term, coeff in pairs:
+        new = get(term, 0) + scale * coeff
+        if new:
+            data[term] = new
+        else:
+            data.pop(term, None)
+
+
+def _tagged(f: Callable[[Surjection], "Element"], u: Surjection) -> "Element":
+    """f(u); an exception keeps its identity and gains the term in its message."""
+    try:
+        return f(u)
+    except Exception as exc:
+        args = exc.args
+        if len(args) == 1 and isinstance(args[0], str) and "[at basis term " not in args[0]:
+            exc.args = (f"{args[0]} [at basis term {u}]",)
+        raise
 
 
 class Element:
@@ -23,19 +54,21 @@ class Element:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: TermsLike = ()):
-        data: dict[Surjection, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for u, c in items:
+    def __init__(self, terms: Iterable[tuple[Surjection, int]] = ()):
+        items = list(terms)
+        for u, _ in items:
             if not isinstance(u, Surjection):
                 raise TypeError(f"basis term {u!r} is not a Surjection")
-            if c:
-                new = data.get(u, 0) + c
-                if new:
-                    data[u] = new
-                elif u in data:
-                    del data[u]
+        data: dict[Surjection, int] = {}
+        _accumulate(data, items)
         object.__setattr__(self, "_terms", data)
+
+    @classmethod
+    def _trusted(cls, data: dict[Surjection, int]) -> "Element":
+        # Takes ownership of a dict of Surjection keys with nonzero coefficients.
+        out = cls.__new__(cls)
+        object.__setattr__(out, "_terms", data)
+        return out
 
     @classmethod
     def zero(cls) -> "Element":
@@ -44,6 +77,18 @@ class Element:
     @classmethod
     def single(cls, u: Surjection, coeff: int = 1) -> "Element":
         return cls(((u, coeff),))
+
+    @classmethod
+    def sum(cls, parts: Iterable[tuple[int, "Element"]]) -> "Element":
+        """The linear combination sum of coeff * element over ``parts``.
+
+        Parts are added into one dict as they arrive, so a generator of
+        parts is summed without holding more than one part at a time.
+        """
+        data: dict[Surjection, int] = {}
+        for coeff, part in parts:
+            _accumulate(data, part._terms.items(), coeff)
+        return cls._trusted(data)
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
@@ -71,20 +116,11 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         data = dict(self._terms)
-        for u, c in other._terms.items():
-            new = data.get(u, 0) + c
-            if new:
-                data[u] = new
-            elif u in data:
-                del data[u]
-        out = Element.__new__(Element)
-        object.__setattr__(out, "_terms", data)
-        return out
+        _accumulate(data, other._terms.items())
+        return Element._trusted(data)
 
     def __neg__(self) -> "Element":
-        out = Element.__new__(Element)
-        object.__setattr__(out, "_terms", {u: -c for u, c in self._terms.items()})
-        return out
+        return Element._trusted({u: -c for u, c in self._terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
@@ -94,9 +130,7 @@ class Element:
     def scale(self, c: int) -> "Element":
         if c == 0:
             return Element.zero()
-        out = Element.__new__(Element)
-        object.__setattr__(out, "_terms", {u: c * k for u, k in self._terms.items()})
-        return out
+        return Element._trusted({u: c * k for u, k in self._terms.items()})
 
     def __rmul__(self, c: int) -> "Element":
         if not isinstance(c, int):
@@ -121,26 +155,12 @@ class Element:
         return bideg
 
     def apply_linear(self, f: Callable[[Surjection], "Element"]) -> "Element":
-        """Extend the basis-level map f linearly: sum of coeff * f(term)."""
-        data: dict[Surjection, int] = {}
-        for u, c in self._terms.items():
-            try:
-                image = f(u)
-            except Exception as exc:
-                try:
-                    tagged = type(exc)(f"{exc} [at basis term {u}]")
-                except Exception:
-                    raise exc
-                raise tagged from exc
-            for w, d in image._terms.items():
-                new = data.get(w, 0) + c * d
-                if new:
-                    data[w] = new
-                elif w in data:
-                    del data[w]
-        out = Element.__new__(Element)
-        object.__setattr__(out, "_terms", data)
-        return out
+        """Extend the basis-level map f linearly: sum of coeff * f(term).
+
+        An exception raised by f propagates as the same object, its message
+        tagged once with the basis term it was raised at.
+        """
+        return Element.sum((c, _tagged(f, u)) for u, c in self._terms.items())
 
     def __str__(self) -> str:
         if not self._terms:

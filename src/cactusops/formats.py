@@ -30,7 +30,6 @@ from typing import Union
 from .cacti import LobeTree, lobe_tree
 from .elements import Element
 from .errors import ParseError
-from .reports import VerificationReport
 from .surjections import Surjection
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "serialize_element",
     "element_to_json",
     "element_from_json",
-    "report_to_json",
     "RenderSpec",
     "render_lobe_tree",
 ]
@@ -162,19 +160,22 @@ def element_to_json(a: Element) -> dict:
 def element_from_json(doc: Union[dict, str]) -> Element:
     if isinstance(doc, str):
         doc = json.loads(doc)
-    if not isinstance(doc, dict) or "terms" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
         raise ParseError("JSON element must be an object with a 'terms' list")
     fmt = doc.get("format", JSON_FORMAT)
     if fmt != JSON_FORMAT:
         raise ParseError(f"unsupported format {fmt!r}")
     terms = []
-    for entry in doc["terms"]:
-        terms.append((Surjection(tuple(entry["seq"])), int(entry["coeff"])))
+    for index, entry in enumerate(doc["terms"]):
+        if not isinstance(entry, dict):
+            raise ParseError(f"term {index} must be an object with 'coeff' and 'seq'")
+        coeff, seq = entry.get("coeff"), entry.get("seq")
+        if not isinstance(coeff, int) or isinstance(coeff, bool):
+            raise ParseError(f"term {index}: 'coeff' must be an integer, got {coeff!r}")
+        if not isinstance(seq, list):
+            raise ParseError(f"term {index}: 'seq' must be a list, got {seq!r}")
+        terms.append((Surjection(seq), coeff))
     return Element(terms)
-
-
-def report_to_json(report: VerificationReport) -> dict:
-    return report.to_json()
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,14 @@
 Composition v o_t u substitutes u into the t-th lobe of v: the entries of
 u are split at r-1 weak breakpoints (r = number of occurrences of t in v)
 and interleaved with the stretches of v between those occurrences, with
-both sides relabelled so the result is again a surjection.  Every sign in
+both sides relabelled so the result is again a surjection: the sum over
+block interleavings of Berger-Fresse (arXiv:math/0109158).  Every sign in
 this module is produced by the Koszul rule: reordering two blocks of
 degrees d1, d2 costs (-1)**(d1*d2), where a block's degree is a relative
-degree (see ``surjections.relative_degree``).
+degree (see ``surjections.recurrence_prefix``).  The one kernel,
+``composition_splits``, yields ``(composite, sign)`` pairs, which
+``compose_basis`` and ``compose`` add straight into the in-place
+accumulator of ``elements``.
 
 The differential deletes one entry at a time; entries that are the only
 occurrence of their value are skipped, and deletions that would leave two
@@ -15,25 +19,22 @@ equal adjacent entries are identified with zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator, Sequence, Union
 
-from .elements import Element, as_element
+from .elements import Element, _accumulate, as_element
 from .errors import LobeOutOfRangeError
-from .reports import VerificationReport, equality_report
-from .surjections import Surjection, insert_top_lobe, recurrence_prefix
+from .reports import VerificationReport, equality_report, sides_report
+from .surjections import Surjection, recurrence_prefix
 
 __all__ = [
     "UNIT",
     "koszul_sign",
-    "CompositionSplit",
     "composition_splits",
     "compose_basis",
     "compose",
     "boundary_basis",
     "boundary",
-    "top_insertion_sum",
     "check_operad_axioms",
     "check_derivation",
 ]
@@ -61,27 +62,18 @@ def koszul_sign(degrees: Sequence[int], target_order: Sequence[int]) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class CompositionSplit:
-    """One summand of a composition v o_t u.
+def composition_splits(v: Surjection, t: int, u: Surjection) -> Iterator[tuple[Surjection, int]]:
+    """All summands of v o_t u as ``(composite, sign)`` pairs.
 
-    ``breakpoints`` is the full weakly increasing tuple (j_0, ..., j_r)
-    into u with j_0 = 1 and j_r = len(u); ``inner_blocks`` are the
-    unrelabelled stretches u_1..u_r of u; ``outer_blocks`` the stretches
-    v_0..v_r of v between occurrences of t.
+    One summand per breakpoints 1 = j_0 <= j_1 <= ... <= j_r = len(u): the
+    p-th occurrence of t in v becomes the stretch u(j_{p-1}..j_p) shifted
+    onto lobes t.., and the sign is the Koszul sign of moving each such
+    inner block in front of the outer block that starts at its occurrence.
+    No composite is degenerate, so none is dropped: every stretch is a piece
+    of a non-degenerate sequence, inner and outer values differ, and two
+    inner stretches are separated by the nonempty stretch of v between two
+    occurrences of t.
     """
-
-    t: int
-    r: int
-    breakpoints: tuple[int, ...]
-    outer_blocks: tuple[tuple[int, ...], ...]
-    inner_blocks: tuple[tuple[int, ...], ...]
-    sign: int
-    composite: Surjection
-
-
-def composition_splits(v: Surjection, t: int, u: Surjection) -> Iterator[CompositionSplit]:
-    """All breakpoint summands of v o_t u with their Koszul signs."""
     if not 1 <= t <= v.arity:
         raise LobeOutOfRangeError(f"lobe {t} not in 1..{v.arity}")
     vseq, useq = v.seq, u.seq
@@ -94,24 +86,15 @@ def composition_splits(v: Surjection, t: int, u: Surjection) -> Iterator[Composi
     uprefix = recurrence_prefix(useq)
     # Outer block degrees: windows from each occurrence of t to the next
     # (or to the end of v for the last block).
-    outer_degrees = []
-    for q in range(r):
-        a = positions[q]
-        b = positions[q + 1] if q + 1 < r else len(vseq)
-        outer_degrees.append(vprefix[b - 1] - vprefix[a - 1])
-
+    ends = positions[1:] + [len(vseq)]
+    outer_degrees = [vprefix[b - 1] - vprefix[a - 1] for a, b in zip(positions, ends)]
+    # Stretches of v around the occurrences of t, relabelled past the new lobes.
     outer_blocks = []
     prev = 0
-    for p in positions:
-        outer_blocks.append(vseq[prev : p - 1])
+    for p in positions + [len(vseq) + 1]:
+        outer_blocks.append(tuple(s if s < t else s + n_inner - 1 for s in vseq[prev : p - 1]))
         prev = p
-    outer_blocks.append(vseq[prev:])
-
-    def beta(s: int) -> int:
-        return s if s < t else s + n_inner - 1
-
-    relabelled_outer = [tuple(beta(s) for s in block) for block in outer_blocks]
-    alpha_shift = t - 1
+    shifted_inner = tuple(s + t - 1 for s in useq)
     target_order = []
     for p in range(r):
         target_order.extend((r + p, p))
@@ -120,40 +103,23 @@ def composition_splits(v: Surjection, t: int, u: Surjection) -> Iterator[Composi
     out_degree = v.degree + u.degree
 
     for mids in combinations_with_replacement(range(1, inner_len + 1), r - 1):
-        cuts = (1,) + mids + (inner_len,)
-        inner_degrees = [uprefix[cuts[p + 1] - 1] - uprefix[cuts[p] - 1] for p in range(r)]
-        inner_blocks = tuple(useq[cuts[p] - 1 : cuts[p + 1]] for p in range(r))
-
-        composite: list[int] = list(relabelled_outer[0])
+        cuts = (1, *mids, inner_len)
+        inner_degrees = []
+        composite = list(outer_blocks[0])
         for p in range(r):
-            composite.extend(s + alpha_shift for s in inner_blocks[p])
-            composite.extend(relabelled_outer[p + 1])
-        if any(composite[i] == composite[i + 1] for i in range(len(composite) - 1)):
-            continue  # degenerate composite counts as zero
-
+            start, stop = cuts[p], cuts[p + 1]
+            inner_degrees.append(uprefix[stop - 1] - uprefix[start - 1])
+            composite.extend(shifted_inner[start - 1 : stop])
+            composite.extend(outer_blocks[p + 1])
         sign = koszul_sign(outer_degrees + inner_degrees, target_order)
-        yield CompositionSplit(
-            t=t,
-            r=r,
-            breakpoints=cuts,
-            outer_blocks=tuple(outer_blocks),
-            inner_blocks=inner_blocks,
-            sign=sign,
-            composite=Surjection._unchecked(tuple(composite), out_arity, out_degree),
-        )
+        yield Surjection._unchecked(tuple(composite), out_arity, out_degree), sign
 
 
 def compose_basis(v: Surjection, t: int, u: Surjection) -> Element:
     """Operadic composition of basis surjections, as an element."""
-    acc: dict[Surjection, int] = {}
-    for split in composition_splits(v, t, u):
-        w = split.composite
-        new = acc.get(w, 0) + split.sign
-        if new:
-            acc[w] = new
-        elif w in acc:
-            del acc[w]
-    return Element(acc)
+    data: dict[Surjection, int] = {}
+    _accumulate(data, composition_splits(v, t, u))
+    return Element._trusted(data)
 
 
 def compose(a: Union[Element, Surjection], t: int, b: Union[Element, Surjection]) -> Element:
@@ -165,18 +131,11 @@ def compose(a: Union[Element, Surjection], t: int, b: Union[Element, Surjection]
         return Element.zero()
     if not 1 <= t <= bideg_a[0]:
         raise LobeOutOfRangeError(f"lobe {t} not in 1..{bideg_a[0]}")
-    acc: dict[Surjection, int] = {}
+    data: dict[Surjection, int] = {}
     for u1, c1 in ea.terms():
         for u2, c2 in eb.terms():
-            coeff = c1 * c2
-            for split in composition_splits(u1, t, u2):
-                w = split.composite
-                new = acc.get(w, 0) + coeff * split.sign
-                if new:
-                    acc[w] = new
-                elif w in acc:
-                    del acc[w]
-    return Element(acc)
+            _accumulate(data, composition_splits(u1, t, u2), c1 * c2)
+    return Element._trusted(data)
 
 
 def boundary_basis(u: Surjection) -> Element:
@@ -190,33 +149,28 @@ def boundary_basis(u: Surjection) -> Element:
     """
     seq = u.seq
     size = len(seq)
-    counts: dict[int, int] = {}
-    for s in seq:
-        counts[s] = counts.get(s, 0) + 1
     prefix = recurrence_prefix(seq)
-    prev_occurrence: dict[int, int] = {}
-    acc: dict[Surjection, int] = {}
-    for i in range(1, size + 1):
-        v = seq[i - 1]
-        prev = prev_occurrence.get(v)
-        prev_occurrence[v] = i
-        if counts[v] == 1:
-            continue
-        is_last = prefix[i] == prefix[i - 1]  # entry does not recur later
-        if is_last:
-            exponent = prefix[prev]  # relative degree of u(1..prev+1)
-        else:
-            exponent = prefix[i - 1]
-        if 2 <= i <= size - 1 and seq[i - 2] == seq[i]:
-            continue  # degenerate deletion counts as zero
-        term = Surjection._unchecked(seq[: i - 1] + seq[i:], u.arity, u.degree - 1)
-        sign = -1 if exponent % 2 else 1
-        new = acc.get(term, 0) + sign
-        if new:
-            acc[term] = new
-        elif term in acc:
-            del acc[term]
-    return Element(acc)
+
+    def deletions() -> Iterator[tuple[Surjection, int]]:
+        prev_occurrence: dict[int, int] = {}
+        for i in range(1, size + 1):
+            v = seq[i - 1]
+            prev = prev_occurrence.get(v)
+            prev_occurrence[v] = i
+            if prefix[i] > prefix[i - 1]:  # entry recurs later
+                exponent = prefix[i - 1]
+            elif prev is None:
+                continue  # only occurrence of its value
+            else:
+                exponent = prefix[prev]  # relative degree of u(1..prev+1)
+            if 2 <= i <= size - 1 and seq[i - 2] == seq[i]:
+                continue  # degenerate deletion counts as zero
+            term = Surjection._unchecked(seq[: i - 1] + seq[i:], u.arity, u.degree - 1)
+            yield term, -1 if exponent % 2 else 1
+
+    data: dict[Surjection, int] = {}
+    _accumulate(data, deletions())
+    return Element._trusted(data)
 
 
 def boundary(a: Union[Element, Surjection]) -> Element:
@@ -224,18 +178,6 @@ def boundary(a: Union[Element, Surjection]) -> Element:
     ea = as_element(a)
     ea.bidegree()
     return ea.apply_linear(boundary_basis)
-
-
-def top_insertion_sum(u: Surjection) -> Element:
-    """Fast path for (1,2,1) o_1 u: sum over positions j of +/- u with the
-    entry at j replaced by (u(j), n+1, u(j)), signed by the relative degree
-    of the prefix u(1..j)."""
-    prefix = recurrence_prefix(u.seq)
-    acc: dict[Surjection, int] = {}
-    for j in range(1, len(u.seq) + 1):
-        sign = -1 if prefix[j - 1] % 2 else 1
-        acc[insert_top_lobe(u, j)] = sign
-    return Element(acc)
 
 
 def check_operad_axioms(
@@ -257,38 +199,22 @@ def check_operad_axioms(
 
     ab = compose_basis(a, i, b)
     lhs = compose(ab, j, as_element(c))
-    failures = {}
+    sides = {}
     notes = []
 
     if j < i:
         swap = -1 if (b.degree % 2) and (c.degree % 2) else 1
         rhs = swap * compose(compose_basis(a, j, c), i + c.arity - 1, as_element(b))
-        if lhs != rhs:
-            failures["relation1"] = {
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-                "difference": str(lhs - rhs),
-            }
+        sides["relation1"] = (lhs, rhs)
     else:
         notes.append("relation1: not applicable")
 
     if i <= j < b.arity + i:
-        rhs = compose(as_element(a), i, compose_basis(b, j - i + 1, c))
-        if lhs != rhs:
-            failures["relation2"] = {
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-                "difference": str(lhs - rhs),
-            }
+        sides["relation2"] = (lhs, compose(as_element(a), i, compose_basis(b, j - i + 1, c)))
     else:
         notes.append("relation2: not applicable")
 
-    return VerificationReport(
-        check=label,
-        passed=not failures,
-        witness=failures or None,
-        notes=tuple(notes),
-    )
+    return sides_report(label, sides, tuple(notes))
 
 
 def check_derivation(a: Surjection, i: int, b: Surjection) -> VerificationReport:

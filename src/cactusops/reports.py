@@ -33,9 +33,28 @@ class VerificationReport:
         return out
 
 
+def difference_witness(lhs, rhs) -> dict:
+    """The failure witness of one equation: both sides and their difference."""
+    return {"lhs": str(lhs), "rhs": str(rhs), "difference": str(lhs - rhs)}
+
+
 def equality_report(check: str, lhs, rhs, notes: tuple[str, ...] = ()) -> VerificationReport:
     """Compare two elements and package the difference as witness."""
     if lhs == rhs:
         return VerificationReport(check=check, passed=True, notes=notes)
-    witness = {"lhs": str(lhs), "rhs": str(rhs), "difference": str(lhs - rhs)}
+    witness = difference_witness(lhs, rhs)
     return VerificationReport(check=check, passed=False, witness=witness, notes=notes)
+
+
+def sides_report(check: str, sides: dict, notes: tuple[str, ...] = ()) -> VerificationReport:
+    """Compare several named equations ``{name: (lhs, rhs)}`` in one report.
+
+    The witness maps the name of each failing equation to its difference
+    witness; it is None when every equation holds.
+    """
+    failures = {
+        name: difference_witness(lhs, rhs) for name, (lhs, rhs) in sides.items() if lhs != rhs
+    }
+    return VerificationReport(
+        check=check, passed=not failures, witness=failures or None, notes=notes
+    )

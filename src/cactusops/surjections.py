@@ -9,8 +9,7 @@ public API are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import (
     DegenerateError,
@@ -21,9 +20,6 @@ from .errors import (
 
 __all__ = [
     "Surjection",
-    "OccurrenceInfo",
-    "relative_degree",
-    "occurrence_info",
     "insert_top_lobe",
     "recurrence_prefix",
 ]
@@ -101,39 +97,13 @@ class Surjection:
         return f"Surjection({self.seq!r})"
 
 
-@dataclass(frozen=True)
-class OccurrenceInfo:
-    """How the entry at one position relates to other occurrences of its value."""
-
-    is_only: bool
-    is_last: bool
-    penultimate: Optional[int]  # previous occurrence when is_last and not is_only
-
-
-def relative_degree(u: Surjection, a: int, b: int) -> int:
-    """Number of positions in [a, b-1] whose value recurs later in all of u.
-
-    "Later" means anywhere after the position, not just inside the window.
-    The full window [1, len(u)] gives the degree of u.
-    """
-    size = len(u.seq)
-    if not (1 <= a <= b <= size):
-        raise OutOfRangeError(f"window [{a},{b}] not within 1..{size}")
-    seq = u.seq
-    count = 0
-    for i in range(a - 1, b - 1):
-        v = seq[i]
-        for j in range(i + 1, size):
-            if seq[j] == v:
-                count += 1
-                break
-    return count
-
-
 def recurrence_prefix(seq: tuple[int, ...]) -> list[int]:
     """prefix[m] = number of the first m positions whose value recurs later.
 
-    relative_degree(u, 1, i) equals prefix[i - 1].
+    "Later" means anywhere after the position in the whole sequence.  The
+    relative degree of the window [a, b], the number of positions in
+    [a, b-1] whose value recurs later, is prefix[b - 1] - prefix[a - 1];
+    the full window [1, len(seq)] gives the degree.
     """
     size = len(seq)
     recurs = [False] * size
@@ -150,21 +120,6 @@ def recurrence_prefix(seq: tuple[int, ...]) -> list[int]:
             acc += 1
         prefix[i + 1] = acc
     return prefix
-
-
-def occurrence_info(u: Surjection, i: int) -> OccurrenceInfo:
-    """Classify position i among the occurrences of its own value."""
-    size = len(u.seq)
-    if not 1 <= i <= size:
-        raise OutOfRangeError(f"position {i} not in 1..{size}")
-    v = u.seq[i - 1]
-    positions = [p + 1 for p, w in enumerate(u.seq) if w == v]
-    is_only = len(positions) == 1
-    is_last = positions[-1] == i
-    penultimate = None
-    if is_last and not is_only:
-        penultimate = positions[-2]
-    return OccurrenceInfo(is_only=is_only, is_last=is_last, penultimate=penultimate)
 
 
 def insert_top_lobe(u: Surjection, j: int) -> Surjection:

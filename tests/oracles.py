@@ -80,3 +80,48 @@ def naive_koszul_sign(degrees, target_order):
     odd_in_target = [s for s in target_order if degrees[s] % 2]
     relabel = {s: i for i, s in enumerate(odd_sources)}
     return permutation_parity([relabel[s] for s in odd_in_target])
+
+
+def naive_compose(vseq, t, useq):
+    """v o_t u as a dict {composite sequence: coefficient}, from the definition.
+
+    With r the number of occurrences of t in v, every weakly increasing
+    breakpoint tuple 1 = j_0 <= j_1 <= ... <= j_r = len(u) gives one
+    summand.  The p-th occurrence of t in v is replaced by the stretch
+    u(j_{p-1}..j_p) with its values raised by t-1, and every value of v
+    above t is raised by arity(u)-1.  A summand with two equal neighbours
+    is zero.  Its sign is the Koszul sign of putting the blocks in their
+    interleaved order: the symbols are first the r windows of v from one
+    occurrence of t to the next (the last one to the end of v), then the
+    r stretches of u, each with its relative degree; in the composite the
+    p-th stretch of u comes just before the p-th window of v.
+    """
+    m = max(useq)
+    occurrences = [i + 1 for i, w in enumerate(vseq) if w == t]
+    r = len(occurrences)
+    ends = occurrences[1:] + [len(vseq)]
+    outer_degrees = [naive_relative_degree(vseq, a, b) for a, b in zip(occurrences, ends)]
+    result = {}
+    for middle in product(range(1, len(useq) + 1), repeat=r - 1):
+        cuts = [1] + list(middle) + [len(useq)]
+        if any(cuts[p] > cuts[p + 1] for p in range(r)):
+            continue
+        stretches = [useq[cuts[p] - 1 : cuts[p + 1]] for p in range(r)]
+        composite = []
+        seen = 0
+        for w in vseq:
+            if w == t:
+                composite.extend(x + t - 1 for x in stretches[seen])
+                seen += 1
+            else:
+                composite.append(w if w < t else w + m - 1)
+        if any(a == b for a, b in zip(composite, composite[1:])):
+            continue
+        inner_degrees = [naive_relative_degree(useq, cuts[p], cuts[p + 1]) for p in range(r)]
+        order = []
+        for p in range(r):
+            order += [r + p, p]
+        sign = naive_koszul_sign(outer_degrees + inner_degrees, order)
+        key = tuple(composite)
+        result[key] = result.get(key, 0) + sign
+    return {key: c for key, c in result.items() if c}

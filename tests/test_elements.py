@@ -3,7 +3,9 @@ from hypothesis import given
 
 from cactusops import (
     Element,
+    NotACactusError,
     NotHomogeneousError,
+    ParseError,
     Surjection,
     boundary_basis,
     white_op,
@@ -97,3 +99,24 @@ class TestApplyLinear:
 
         with pytest.raises(ValueError, match=r"boom \[at basis term \(1,2\)\]"):
             E(1, 2).apply_linear(explode)
+
+    def test_errors_keep_their_witness(self):
+        err = NotACactusError("crossing", witness=(1, 2, 3, 4))
+
+        def explode(u):
+            raise err
+
+        with pytest.raises(NotACactusError) as info:
+            E(1, 2).apply_linear(explode)
+        assert info.value is err
+        assert info.value.witness == (1, 2, 3, 4)
+        assert str(err) == "crossing [at basis term (1,2)]"
+
+    def test_errors_keep_their_position_and_are_tagged_once(self):
+        def explode(u):
+            raise ParseError("bad token", 3, 7)
+
+        with pytest.raises(ParseError) as info:
+            E(1, 2).apply_linear(lambda u: E(2, 1).apply_linear(explode))
+        assert (info.value.line, info.value.column) == (3, 7)
+        assert str(info.value) == "bad token (line 3, column 7) [at basis term (2,1)]"

@@ -125,6 +125,20 @@ class TestJson:
         with pytest.raises(ParseError):
             element_from_json({"format": "other", "terms": []})
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"coeff": 1.5, "seq": [1, 2]},
+            {"coeff": "7", "seq": [1, 2]},
+            {"coeff": True, "seq": [1, 2]},
+            {"seq": [1, 2]},
+            {"coeff": 1},
+        ],
+    )
+    def test_rejects_malformed_terms(self, entry):
+        with pytest.raises(ParseError):
+            element_from_json({"format": "cactus-v1", "terms": [entry]})
+
 
 class TestRenderSpec:
     def test_validation(self):

@@ -15,12 +15,12 @@ from cactusops import (
     compose,
     compose_basis,
     composition_splits,
+    enumerate_basis,
     koszul_sign,
-    top_insertion_sum,
 )
 
 from conftest import cacti, elements, surjections
-from oracles import brute_force_sequences, naive_koszul_sign
+from oracles import brute_force_sequences, naive_compose, naive_koszul_sign
 
 
 def S(*values):
@@ -67,10 +67,17 @@ class TestComposeBasis:
 
     def test_split_structure(self):
         splits = list(composition_splits(S(1, 2, 1), 1, S(1, 2)))
-        assert [s.breakpoints for s in splits] == [(1, 1, 2), (1, 2, 2)]
-        for s in splits:
-            assert s.r == 2
-            assert s.composite == Surjection(s.composite.seq)
+        assert [(w.seq, sign) for w, sign in splits] == [((1, 3, 1, 2), 1), ((1, 2, 3, 2), 1)]
+        for w, _ in splits:
+            assert w == Surjection(w.seq)
+
+    def test_matches_definition_oracle(self):
+        pool = [u for n in range(1, 4) for k in range(n) for u in enumerate_basis(n, k, level=2)]
+        for v in pool:
+            for u in pool:
+                for t in range(1, v.arity + 1):
+                    got = {w.seq: c for w, c in compose_basis(v, t, u).terms()}
+                    assert got == naive_compose(v.seq, t, u.seq), (v, t, u)
 
     @given(cacti, cacti, st.data())
     @settings(deadline=None)
@@ -144,12 +151,6 @@ class TestBoundary:
         out = boundary_basis(u)
         if out:
             assert out.bidegree() == (u.arity, u.degree - 1)
-
-
-class TestTopInsertionSum:
-    @given(surjections)
-    def test_matches_general_composition(self, u):
-        assert top_insertion_sum(u) == compose_basis(S(1, 2, 1), 1, u)
 
 
 class TestAxiomChecks:

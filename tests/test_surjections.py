@@ -9,9 +9,8 @@ from cactusops import (
     OutOfRangeError,
     Surjection,
     insert_top_lobe,
-    occurrence_info,
-    relative_degree,
 )
+from cactusops.surjections import recurrence_prefix
 
 from conftest import surjections
 from oracles import naive_relative_degree
@@ -66,62 +65,32 @@ class TestValidate:
             u.value(5)
 
 
-class TestRelativeDegree:
-    def test_spec_values(self):
-        assert relative_degree(Surjection((1, 2, 1)), 1, 2) == 1
-        assert relative_degree(Surjection((1, 2)), 1, 2) == 0
-        assert relative_degree(Surjection((2, 1, 3, 1)), 1, 4) == 1
+def relative_degree(seq, a, b):
+    prefix = recurrence_prefix(seq)
+    return prefix[b - 1] - prefix[a - 1]
 
-    def test_out_of_range(self):
-        u = Surjection((1, 2))
-        with pytest.raises(OutOfRangeError):
-            relative_degree(u, 0, 2)
-        with pytest.raises(OutOfRangeError):
-            relative_degree(u, 2, 1)
-        with pytest.raises(OutOfRangeError):
-            relative_degree(u, 1, 3)
+
+class TestRelativeDegree:
+    """Relative degrees of windows, read off recurrence_prefix."""
+
+    def test_spec_values(self):
+        assert relative_degree((1, 2, 1), 1, 2) == 1
+        assert relative_degree((1, 2), 1, 2) == 0
+        assert relative_degree((2, 1, 3, 1), 1, 4) == 1
 
     @given(surjections)
     def test_full_window_is_degree(self, u):
-        assert relative_degree(u, 1, len(u)) == u.degree
+        assert relative_degree(u.seq, 1, len(u)) == u.degree
 
     @given(surjections, st.data())
     def test_matches_naive_count_and_monotone(self, u, data):
         a = data.draw(st.integers(1, len(u)))
         prev = 0
         for b in range(a, len(u) + 1):
-            got = relative_degree(u, a, b)
+            got = relative_degree(u.seq, a, b)
             assert got == naive_relative_degree(u.seq, a, b)
             assert got >= prev
             prev = got
-
-
-class TestOccurrenceInfo:
-    def test_spec_values(self):
-        u = Surjection((1, 2, 1))
-        info = occurrence_info(u, 2)
-        assert (info.is_only, info.is_last, info.penultimate) == (True, True, None)
-        info = occurrence_info(u, 3)
-        assert (info.is_only, info.is_last, info.penultimate) == (False, True, 1)
-        info = occurrence_info(u, 1)
-        assert (info.is_only, info.is_last, info.penultimate) == (False, False, None)
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            occurrence_info(Surjection((1,)), 2)
-
-    @given(surjections, st.data())
-    def test_consistent_with_counts(self, u, data):
-        i = data.draw(st.integers(1, len(u)))
-        info = occurrence_info(u, i)
-        v = u.value(i)
-        positions = [p for p in range(1, len(u) + 1) if u.value(p) == v]
-        assert info.is_only == (len(positions) == 1)
-        assert info.is_last == (positions[-1] == i)
-        if info.is_last and not info.is_only:
-            assert info.penultimate == positions[-2]
-        else:
-            assert info.penultimate is None
 
 
 class TestInsertTopLobe:
