@@ -40,7 +40,6 @@ __all__ = [
     "black_op",
     "word_image",
     "a_infinity_image",
-    "a_infinity_sign",
     "splice",
     "splice_decompositions",
     "word_boundary_image",
@@ -129,18 +128,6 @@ def word_image(word: str) -> Element:
 def a_infinity_image(n: int) -> Element:
     """Arity-n structure map: the sum of word images over all arity-n words."""
     return Element.sum((1, word_image(letters)) for letters in all_words(n))
-
-
-def a_infinity_sign(u: Surjection) -> int:
-    """Coefficient (+1 or -1) of the prime cactus u in the structure map.
-
-    No closed formula is used; the sign is read off the computed image.
-    Raises for sequences outside its support.
-    """
-    coeff = a_infinity_image(u.arity).coefficient(u)
-    if coeff == 0:
-        raise ValueError(f"{u} is not in the support of the arity-{u.arity} image")
-    return coeff
 
 
 def splice(outer: str, slot: int, inner: str) -> str:

@@ -5,9 +5,9 @@ A surjection lies in filtration stage m when no two values alternate
 the suboperad of (spineless) cacti: configurations of labelled circles in
 the plane whose boundary traversal, read anticlockwise from a root point,
 spells out the sequence.  The cactus test used everywhere is a linear
-stack scan over the nesting structure of consecutive-occurrence gaps; the
-scattered-pattern definition is kept only to produce witnesses and as an
-independent cross-check in the tests.
+stack scan over the nesting structure of consecutive-occurrence gaps,
+which also returns the positions of a crossing (i,j,i,j) as witness; the
+scattered-pattern definition itself lives only in the test oracles.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .surjections import Surjection, insert_top_lobe, recurrence_prefix
 
 __all__ = [
     "length_cap",
-    "max_pair_alternation",
-    "filtration_level",
     "cactus_violation",
     "is_cactus",
     "LobeTree",
@@ -40,43 +38,16 @@ DEFAULT_LENGTH_CAP = 14
 
 
 def length_cap() -> int:
-    """Sequence-length cap for enumerations, from CACTUS_MAX_LEN."""
+    """Sequence-length cap for enumerations, from CACTUS_MAX_LEN.
+
+    The variable must be a plain ASCII decimal ([0-9]+) of at least 1.
+    """
     raw = os.environ.get("CACTUS_MAX_LEN")
     if raw is None:
         return DEFAULT_LENGTH_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ResourceBoundError(f"CACTUS_MAX_LEN={raw!r} is not an integer") from exc
-    if cap < 1:
-        raise ResourceBoundError(f"CACTUS_MAX_LEN={cap} must be positive")
-    return cap
-
-
-def max_pair_alternation(u: Surjection) -> int:
-    """Length of the longest alternating scattered subsequence (i,j,i,...)."""
-    if u.arity == 1:
-        return 1
-    best = 2  # some pair of distinct values is always adjacent
-    seq = u.seq
-    for x in range(1, u.arity + 1):
-        for y in range(x + 1, u.arity + 1):
-            blocks = 0
-            last = 0
-            for v in seq:
-                if (v == x or v == y) and v != last:
-                    blocks += 1
-                    last = v
-            if blocks > best:
-                best = blocks
-    return best
-
-
-def filtration_level(u: Surjection) -> int:
-    """Smallest filtration stage containing u; the unit sits in stage 1."""
-    if u.arity == 1:
-        return 1
-    return max_pair_alternation(u) - 1
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+        raise ResourceBoundError(f"CACTUS_MAX_LEN={raw!r} is not a positive integer")
+    return int(raw)
 
 
 def cactus_violation(u: Surjection) -> Optional[tuple[tuple[int, int, int, int], tuple[int, int]]]:
@@ -192,10 +163,11 @@ def enumerate_basis(
     ``level=None`` lifts the alternation bound and enumerates the full
     basis.  Backtracking over the sequence positions in lexicographic
     order, pruning on adjacent repeats, on pair-alternation exceeding
-    level+1, and on surjectivity becoming unreachable.
+    level+1, and on surjectivity becoming unreachable.  Raises ValueError
+    for n < 1, k < 0 or level < 1.
     """
-    if n < 1 or k < 0:
-        return []
+    if n < 1 or k < 0 or (level is not None and level < 1):
+        raise ValueError(f"need arity >= 1, degree >= 0, level >= 1; got {n}, {k}, {level}")
     cap = length_cap() if max_len is None else max_len
     size = n + k
     if size > cap:

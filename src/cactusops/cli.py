@@ -13,9 +13,9 @@ import sys
 from typing import Optional
 
 from .ainfty import a_infinity_image, word_image
-from .cacti import enumerate_basis, length_cap, lobe_tree, prime_cacti
+from .cacti import enumerate_basis, length_cap, prime_cacti
 from .errors import CactusOpsError
-from .formats import RenderSpec, parse_element, parse_surjection, render_lobe_tree
+from .formats import parse_element, parse_surjection, render_lobe_tree
 from .operad import boundary, compose
 from .suites import SUITE_NAMES, SuiteConfig, default_max_arity, run_suites
 
@@ -108,7 +108,8 @@ def cmd_cacti_list(args: argparse.Namespace) -> int:
         top = length_cap() - n
         if args.level == 2:
             top = min(top, n - 1)
-        degrees = range(0, top + 1)
+        # Degree 0 is always tried, so enumerate_basis rejects a bad arity or level.
+        degrees = range(0, max(top, 0) + 1)
     for k in degrees:
         for u in enumerate_basis(n, k, level=args.level):
             print(u)
@@ -116,8 +117,7 @@ def cmd_cacti_list(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    tree = lobe_tree(parse_surjection(args.surjection))
-    text = render_lobe_tree(tree, RenderSpec(format=args.format))
+    text = render_lobe_tree(parse_surjection(args.surjection), args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -1,5 +1,19 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CactusOpsError",
+    "NonPositiveError",
+    "DegenerateError",
+    "NotSurjectiveError",
+    "OutOfRangeError",
+    "NotHomogeneousError",
+    "MaxValueNotUniqueError",
+    "NotACactusError",
+    "ResourceBoundError",
+    "ParseError",
+    "WordError",
+]
+
 
 class CactusOpsError(Exception):
     """Base class for all errors raised by this package."""
@@ -18,11 +32,7 @@ class NotSurjectiveError(CactusOpsError, ValueError):
 
 
 class OutOfRangeError(CactusOpsError, IndexError):
-    """A 1-based position lies outside the sequence."""
-
-
-class LobeOutOfRangeError(CactusOpsError, IndexError):
-    """A composition or relation index lies outside its valid range."""
+    """A 1-based index (a position, lobe or slot) lies outside its valid range."""
 
 
 class NotHomogeneousError(CactusOpsError, ValueError):

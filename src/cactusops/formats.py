@@ -5,6 +5,7 @@ Text grammar (authoritative):
     ELEMENT := TERM+            (or the single token "0")
     TERM    := SIGN? (INT '*')? '(' INT (',' INT)* ')'
     SIGN    := '+' | '-'
+    INT     := [0-9]+           (ASCII digits only)
 
 with whitespace allowed between tokens.  A lone surjection may also be
 written compactly as a digit string ("1312") when all its values are at
@@ -24,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from typing import Union
 
 from .cacti import LobeTree, lobe_tree
@@ -35,16 +35,21 @@ from .surjections import Surjection
 __all__ = [
     "parse_surjection",
     "parse_element",
-    "serialize_element",
     "element_to_json",
     "element_from_json",
-    "RenderSpec",
     "render_lobe_tree",
 ]
 
 JSON_FORMAT = "cactus-v1"
 
-_TOKEN = re.compile(r"[+\-*(),]|\d+|\s+|.", re.DOTALL)
+# SVG geometry: root circle radius, child-to-parent radius ratio, stroke width.
+ROOT_RADIUS = 60.0
+CHILD_RATIO = 0.55
+STROKE_WIDTH = 2.0
+
+# Only ASCII digits make numbers; any other digit character is a parse error.
+_DIGITS = re.compile(r"[0-9]+")
+_TOKEN = re.compile(r"[+\-*(),]|[0-9]+|\s+|.", re.DOTALL)
 
 
 class _Tokens:
@@ -93,7 +98,7 @@ class _Tokens:
 def _parse_int(tokens: _Tokens) -> int:
     line, col = tokens.where()
     tok = tokens.take()
-    if not tok.isdigit():
+    if not _DIGITS.fullmatch(tok):
         raise ParseError(f"expected an integer, found {tok!r}", line, col)
     return int(tok)
 
@@ -111,7 +116,7 @@ def _parse_paren_sequence(tokens: _Tokens) -> tuple[int, ...]:
 def parse_surjection(text: str) -> Surjection:
     """Parse "(1,3,1,2)" or, when every value is a single digit, "1312"."""
     stripped = text.strip()
-    if stripped and stripped.isdigit():
+    if _DIGITS.fullmatch(stripped):
         return Surjection(tuple(int(ch) for ch in stripped))
     tokens = _Tokens(text)
     seq = _parse_paren_sequence(tokens)
@@ -137,17 +142,12 @@ def parse_element(text: str) -> Element:
             sign = -1 if tokens.take() == "-" else 1
         coeff = 1
         tok = tokens.peek()
-        if tok is not None and tok.isdigit():
+        if tok is not None and _DIGITS.fullmatch(tok):
             coeff = _parse_int(tokens)
             tokens.expect("*")
         seq = _parse_paren_sequence(tokens)
         terms.append((Surjection(seq), sign * coeff))
     return Element(terms)
-
-
-def serialize_element(a: Element) -> str:
-    """Canonical text form; parse_element inverts it exactly."""
-    return str(a)
 
 
 def element_to_json(a: Element) -> dict:
@@ -178,33 +178,15 @@ def element_from_json(doc: Union[dict, str]) -> Element:
     return Element(terms)
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    """Output format and geometry for lobe-tree rendering."""
-
-    format: str = "text"
-    root_radius: float = 60.0
-    child_ratio: float = 0.55
-    stroke_width: float = 2.0
-
-    def __post_init__(self):
-        if self.format not in ("dot", "svg", "text"):
-            raise ValueError(f"unknown render format {self.format!r}")
-        if not 0.0 < self.child_ratio < 1.0:
-            raise ValueError(f"child_ratio {self.child_ratio} must be in (0,1)")
-        if self.root_radius <= 0 or self.stroke_width <= 0:
-            raise ValueError("radius and stroke width must be positive")
-
-
-def render_lobe_tree(tree: Union[LobeTree, Surjection], spec: RenderSpec) -> str:
-    """Render a lobe tree (or the cactus sequence that defines one)."""
+def render_lobe_tree(tree: Union[LobeTree, Surjection], fmt: str) -> str:
+    """Render a lobe tree (or the cactus sequence that defines one) as
+    "dot", "svg" or "text"."""
+    render = _RENDERERS.get(fmt)
+    if render is None:
+        raise ValueError(f"unknown render format {fmt!r}")
     if isinstance(tree, Surjection):
         tree = lobe_tree(tree)
-    if spec.format == "dot":
-        return _to_dot(tree)
-    if spec.format == "svg":
-        return _to_svg(tree, spec)
-    return _to_text(tree)
+    return render(tree)
 
 
 def _to_dot(tree: LobeTree) -> str:
@@ -245,12 +227,12 @@ def _to_text(tree: LobeTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _to_svg(tree: LobeTree, spec: RenderSpec) -> str:
+def _to_svg(tree: LobeTree) -> str:
     circles: list[tuple[float, float, float, int]] = []
 
     def place(node: LobeTree, cx: float, cy: float, radius: float, entry: float) -> None:
         circles.append((cx, cy, radius, node.label))
-        child_radius = radius * spec.child_ratio
+        child_radius = radius * CHILD_RATIO
         m = node.arcs
         for slot, children in enumerate(node.slots, start=1):
             count = len(children)
@@ -269,9 +251,9 @@ def _to_svg(tree: LobeTree, spec: RenderSpec) -> str:
                 )
 
     root_entry = math.pi / 2  # root point drawn at the bottom (SVG y grows down)
-    place(tree, 0.0, 0.0, spec.root_radius, root_entry)
+    place(tree, 0.0, 0.0, ROOT_RADIUS, root_entry)
 
-    pad = spec.root_radius * 0.25 + spec.stroke_width
+    pad = ROOT_RADIUS * 0.25 + STROKE_WIDTH
     min_x = min(cx - r for cx, cy, r, _ in circles) - pad
     max_x = max(cx + r for cx, cy, r, _ in circles) + pad
     min_y = min(cy - r for cx, cy, r, _ in circles) - pad
@@ -290,18 +272,21 @@ def _to_svg(tree: LobeTree, spec: RenderSpec) -> str:
     for cx, cy, r, label in circles:
         lines.append(
             f'  <circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" '
-            f'fill="none" stroke="black" stroke-width="{fmt(spec.stroke_width)}"/>'
+            f'fill="none" stroke="black" stroke-width="{fmt(STROKE_WIDTH)}"/>'
         )
         lines.append(
             f'  <text x="{fmt(cx)}" y="{fmt(cy)}" text-anchor="middle" '
             f'dominant-baseline="central" font-size="{fmt(r * 0.6)}">{label}</text>'
         )
     # root marker: a small square at the root point, kept off the circle count
-    rx, ry = 0.0, spec.root_radius
-    side = spec.root_radius * 0.12
+    rx, ry = 0.0, ROOT_RADIUS
+    side = ROOT_RADIUS * 0.12
     lines.append(
         f'  <rect x="{fmt(rx - side / 2)}" y="{fmt(ry - side / 2)}" '
         f'width="{fmt(side)}" height="{fmt(side)}" fill="black"/>'
     )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+_RENDERERS = {"dot": _to_dot, "svg": _to_svg, "text": _to_text}

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator, Sequence, Union
 
 from .elements import Element, _accumulate, as_element
-from .errors import LobeOutOfRangeError
+from .errors import OutOfRangeError
 from .reports import VerificationReport, equality_report, sides_report
 from .surjections import Surjection, recurrence_prefix
 
@@ -75,7 +75,7 @@ def composition_splits(v: Surjection, t: int, u: Surjection) -> Iterator[tuple[S
     occurrences of t.
     """
     if not 1 <= t <= v.arity:
-        raise LobeOutOfRangeError(f"lobe {t} not in 1..{v.arity}")
+        raise OutOfRangeError(f"lobe {t} not in 1..{v.arity}")
     vseq, useq = v.seq, u.seq
     n_inner = u.arity
     inner_len = len(useq)
@@ -130,7 +130,7 @@ def compose(a: Union[Element, Surjection], t: int, b: Union[Element, Surjection]
     if bideg_a is None or not eb:
         return Element.zero()
     if not 1 <= t <= bideg_a[0]:
-        raise LobeOutOfRangeError(f"lobe {t} not in 1..{bideg_a[0]}")
+        raise OutOfRangeError(f"lobe {t} not in 1..{bideg_a[0]}")
     data: dict[Surjection, int] = {}
     for u1, c1 in ea.terms():
         for u2, c2 in eb.terms():
@@ -192,10 +192,10 @@ def check_operad_axioms(
     """
     label = f"operad-axioms[a={a},i={i},b={b},j={j},c={c}]"
     if not 1 <= i <= a.arity:
-        raise LobeOutOfRangeError(f"i={i} not in 1..{a.arity}")
+        raise OutOfRangeError(f"i={i} not in 1..{a.arity}")
     arity_ab = a.arity + b.arity - 1
     if not 1 <= j <= arity_ab:
-        raise LobeOutOfRangeError(f"j={j} not in 1..{arity_ab}")
+        raise OutOfRangeError(f"j={j} not in 1..{arity_ab}")
 
     ab = compose_basis(a, i, b)
     lhs = compose(ab, j, as_element(c))
@@ -220,7 +220,7 @@ def check_operad_axioms(
 def check_derivation(a: Surjection, i: int, b: Surjection) -> VerificationReport:
     """Check the Leibniz rule for the differential against o_i."""
     if not 1 <= i <= a.arity:
-        raise LobeOutOfRangeError(f"i={i} not in 1..{a.arity}")
+        raise OutOfRangeError(f"i={i} not in 1..{a.arity}")
     lhs = boundary(compose_basis(a, i, b))
     sign = -1 if a.degree % 2 else 1
     rhs = compose(boundary_basis(a), i, as_element(b)) + sign * compose(

@@ -3,6 +3,8 @@
 Each suite is a pure function from a SuiteConfig to a list of reports;
 random checks derive their generator from the seed and the check name, so
 identical configurations reproduce identical output byte for byte.
+Every report folds a list of per-case reports; a failing one carries its
+first failing case as witness, ``{"case": <case check>, "witness": ...}``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
+from typing import Callable, Iterable
 
 from .ainfty import (
     a_infinity_boundary_image,
@@ -31,8 +33,8 @@ from .cacti import (
     prime_cacti_filtered,
 )
 from .elements import Element
-from .operad import boundary, boundary_basis, compose
-from .reports import VerificationReport
+from .operad import boundary, boundary_basis, check_derivation, check_operad_axioms, compose
+from .reports import VerificationReport, equality_report
 from .surjections import Surjection
 
 __all__ = ["SuiteConfig", "SUITE_NAMES", "default_max_arity", "run_suite", "run_suites"]
@@ -83,188 +85,166 @@ def _cactus_pool(max_arity: int) -> list[Surjection]:
     return pool
 
 
-def _report(check: str, failures: list, detail: str) -> VerificationReport:
+def _report(check: str, cases: list[VerificationReport], detail: str) -> VerificationReport:
+    """Fold per-case reports into one; its witness is the first failing case."""
+    failed = next((r for r in cases if not r.passed), None)
     return VerificationReport(
         check=check,
-        passed=not failures,
-        witness=failures[0] if failures else None,
+        passed=failed is None,
+        witness=None if failed is None else {"case": failed.check, "witness": failed.witness},
         notes=(detail,),
     )
+
+
+def _dsq_case(u: Surjection) -> VerificationReport:
+    return equality_report(f"dsq[{u}]", boundary(boundary_basis(u)), Element.zero())
 
 
 def run_dsq(cfg: SuiteConfig) -> list[VerificationReport]:
     reports = []
     for n in range(2, min(cfg.max_arity, 5) + 1):
-        failures = []
-        count = 0
-        for k in range(0, (3 if n <= 4 else 2) + 1):
-            for u in enumerate_basis(n, k, level=None):
-                count += 1
-                dd = boundary(boundary_basis(u))
-                if dd:
-                    failures.append({"element": str(u), "d_squared": str(dd)})
-        reports.append(_report(f"dsq.exhaustive-arity-{n}", failures, f"{count} elements"))
+        cases = [
+            _dsq_case(u)
+            for k in range(0, (3 if n <= 4 else 2) + 1)
+            for u in enumerate_basis(n, k, level=None)
+        ]
+        reports.append(_report(f"dsq.exhaustive-arity-{n}", cases, f"{len(cases)} elements"))
     rng = _rng(cfg, "dsq")
-    failures = []
+    cases = []
     for _ in range(cfg.samples):
         n = rng.randint(2, 6)
-        u = _random_surjection(rng, n, rng.randint(n, 12))
-        dd = boundary(boundary_basis(u))
-        if dd:
-            failures.append({"element": str(u), "d_squared": str(dd)})
-    reports.append(_report("dsq.random", failures, f"{cfg.samples} samples, length <= 12"))
+        cases.append(_dsq_case(_random_surjection(rng, n, rng.randint(n, 12))))
+    reports.append(_report("dsq.random", cases, f"{cfg.samples} samples, length <= 12"))
     return reports
 
 
 def run_axioms(cfg: SuiteConfig) -> list[VerificationReport]:
-    from .operad import check_operad_axioms
-
     rng = _rng(cfg, "axioms")
     pool = _cactus_pool(min(cfg.max_arity, 4))
-    failures = []
-    rel1 = rel2 = 0
+    cases = []
     for _ in range(cfg.samples):
         a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
         i = rng.randint(1, a.arity)
-        j = rng.randint(1, a.arity + b.arity - 1)
-        rep = check_operad_axioms(a, i, b, j, c)
-        if "relation1: not applicable" not in rep.notes:
-            rel1 += 1
-        if "relation2: not applicable" not in rep.notes:
-            rel2 += 1
-        if not rep.passed:
-            failures.append({"case": rep.check, "witness": rep.witness})
+        cases.append(check_operad_axioms(a, i, b, rng.randint(1, a.arity + b.arity - 1), c))
+    rel1, rel2 = (
+        sum(f"relation{m}: not applicable" not in r.notes for r in cases) for m in (1, 2)
+    )
     detail = f"{cfg.samples} triples (relation1: {rel1}, relation2: {rel2})"
-    return [_report("axioms.random", failures, detail)]
+    return [_report("axioms.random", cases, detail)]
 
 
 def run_derivation(cfg: SuiteConfig) -> list[VerificationReport]:
-    from .operad import check_derivation
-
     rng = _rng(cfg, "derivation")
     pool = _cactus_pool(min(cfg.max_arity, 4))
-    failures = []
+    cases = []
     for _ in range(cfg.samples):
         a, b = rng.choice(pool), rng.choice(pool)
-        rep = check_derivation(a, rng.randint(1, a.arity), b)
-        if not rep.passed:
-            failures.append({"case": rep.check, "witness": rep.witness})
-    return [_report("derivation.random", failures, f"{cfg.samples} pairs")]
+        cases.append(check_derivation(a, rng.randint(1, a.arity), b))
+    return [_report("derivation.random", cases, f"{cfg.samples} pairs")]
+
+
+def _closure_case(check: str, image: Element) -> VerificationReport:
+    """Every term of image is a cactus; the witness lists those that are not."""
+    outside = [str(w) for w in image.support() if not is_cactus(w)]
+    return VerificationReport(check=check, passed=not outside, witness=outside or None)
 
 
 def run_f2_closure(cfg: SuiteConfig) -> list[VerificationReport]:
     rng = _rng(cfg, "f2-closure")
     pool = _cactus_pool(min(cfg.max_arity, 4))
-    compose_failures = []
-    boundary_failures = []
+    composed, bounded = [], []
     for _ in range(cfg.samples):
         v, u = rng.choice(pool), rng.choice(pool)
         t = rng.randint(1, v.arity)
-        for w, _coeff in compose(v, t, u).terms():
-            if not is_cactus(w):
-                compose_failures.append({"compose": f"{v} o_{t} {u}", "term": str(w)})
-        for w, _coeff in boundary_basis(u).terms():
-            if not is_cactus(w):
-                boundary_failures.append({"boundary": str(u), "term": str(w)})
+        composed.append(_closure_case(f"compose[{v},{t},{u}]", compose(v, t, u)))
+        bounded.append(_closure_case(f"boundary[{u}]", boundary_basis(u)))
     return [
-        _report("f2-closure.compose", compose_failures, f"{cfg.samples} compositions"),
-        _report("f2-closure.boundary", boundary_failures, f"{cfg.samples} boundaries"),
+        _report("f2-closure.compose", composed, f"{cfg.samples} compositions"),
+        _report("f2-closure.boundary", bounded, f"{cfg.samples} boundaries"),
     ]
 
 
 def run_bncomp(cfg: SuiteConfig) -> list[VerificationReport]:
     reports = []
     for n in range(2, min(cfg.max_arity, 6) + 1):
-        failures = []
-        elements = prime_cacti(n)
-        for u in elements:
-            rep = check_top_insertion_identities(u)
-            if not rep.passed:
-                failures.append({"case": rep.check, "witness": rep.witness})
-        reports.append(
-            _report(f"bncomp.prime-arity-{n}", failures, f"{len(elements)} elements")
-        )
+        cases = [check_top_insertion_identities(u) for u in prime_cacti(n)]
+        reports.append(_report(f"bncomp.prime-arity-{n}", cases, f"{len(cases)} elements"))
     return reports
 
 
 def run_bncomp2(cfg: SuiteConfig) -> list[VerificationReport]:
     rng = _rng(cfg, "bncomp2")
     pool = [u for u in _cactus_pool(min(cfg.max_arity, 4)) if u.seq.count(u.arity) == 1]
-    failures = []
+    cases = []
     for _ in range(cfg.samples):
         u1, u2 = rng.choice(pool), rng.choice(pool)
-        i = rng.randint(1, u1.arity)
-        rep = check_insertion_composition(u1, i, u2)
-        if not rep.passed:
-            failures.append({"case": rep.check, "witness": rep.witness})
-    return [_report("bncomp2.random", failures, f"{cfg.samples} eligible pairs")]
+        cases.append(check_insertion_composition(u1, rng.randint(1, u1.arity), u2))
+    return [_report("bncomp2.random", cases, f"{cfg.samples} eligible pairs")]
+
+
+def _words(cfg: SuiteConfig) -> list[str]:
+    """Every generator word of arity 2..max_arity."""
+    return [word for n in range(2, cfg.max_arity + 1) for word in all_words(n)]
 
 
 def run_mupartial(cfg: SuiteConfig) -> list[VerificationReport]:
-    failures = []
-    count = 0
-    for length in range(1, cfg.max_arity):
-        for word in all_words(length + 1):
-            count += 1
-            rep = check_word_boundary_compat(word)
-            if not rep.passed:
-                failures.append({"word": word, "witness": rep.witness})
-    return [_report("mupartial.words", failures, f"{count} words")]
+    cases = [check_word_boundary_compat(word) for word in _words(cfg)]
+    return [_report("mupartial.words", cases, f"{len(cases)} words")]
 
 
 def run_a2inf(cfg: SuiteConfig) -> list[VerificationReport]:
-    failures = []
-    count = 0
-    for length in range(1, cfg.max_arity):
-        for word in all_words(length + 1):
-            count += 1
-            lhs = boundary(word_image(word))
-            rhs = word_boundary_image(word)
-            if lhs != rhs:
-                failures.append({"word": word, "lhs": str(lhs), "rhs": str(rhs)})
-    return [_report("a2inf.morphism", failures, f"{count} words")]
+    cases = [
+        equality_report(f"a2inf[{word}]", boundary(word_image(word)), word_boundary_image(word))
+        for word in _words(cfg)
+    ]
+    return [_report("a2inf.morphism", cases, f"{len(cases)} words")]
 
 
 def run_ainf(cfg: SuiteConfig) -> list[VerificationReport]:
-    failures = []
-    for n in range(3, cfg.max_arity + 1):
-        lhs = boundary(a_infinity_image(n))
-        rhs = a_infinity_boundary_image(n)
-        if lhs != rhs:
-            failures.append({"arity": n, "lhs": str(lhs), "rhs": str(rhs)})
-    return [_report("ainf.morphism", failures, f"arity 3..{cfg.max_arity}")]
+    cases = [
+        equality_report(
+            f"ainf[arity={n}]", boundary(a_infinity_image(n)), a_infinity_boundary_image(n)
+        )
+        for n in range(3, cfg.max_arity + 1)
+    ]
+    return [_report("ainf.morphism", cases, f"arity 3..{cfg.max_arity}")]
+
+
+def _unit_sum(terms: Iterable[Surjection]) -> Element:
+    """The sum of the given basis terms, each with coefficient one."""
+    return Element((u, 1) for u in terms)
 
 
 def run_cprime_count(cfg: SuiteConfig) -> list[VerificationReport]:
-    reports = []
-    counts = []
-    failures = []
-    for n in range(2, cfg.max_arity + 1):
-        got = len(prime_cacti(n))
-        want = prime_cacti_count(n)
-        counts.append(got)
-        if got != want:
-            failures.append({"arity": n, "count": got, "expected": want})
+    arities = range(2, cfg.max_arity + 1)
+    counts = [len(prime_cacti(n)) for n in arities]
+    cases = [
+        equality_report(f"count[arity={n}]", got, prime_cacti_count(n))
+        for n, got in zip(arities, counts)
+    ]
     detail = "counts " + ",".join(str(c) for c in counts)
-    reports.append(_report("cprime.count", failures, detail))
+    reports = [_report("cprime.count", cases, detail)]
 
-    failures = []
     top = min(cfg.max_arity, 6)
-    for n in range(2, top + 1):
-        if prime_cacti(n) != sorted(prime_cacti_filtered(n), key=lambda u: u.seq):
-            failures.append({"arity": n})
-    reports.append(_report("cprime.filter-oracle", failures, f"arity 2..{top}"))
+    cases = [
+        equality_report(
+            f"filter-oracle[arity={n}]",
+            _unit_sum(prime_cacti(n)),
+            _unit_sum(prime_cacti_filtered(n)),
+        )
+        for n in range(2, top + 1)
+    ]
+    reports.append(_report("cprime.filter-oracle", cases, f"arity 2..{top}"))
 
-    failures = []
-    for n in range(2, cfg.max_arity + 1):
+    cases = []
+    for n in arities:
         image = a_infinity_image(n)
-        if image.support() != prime_cacti(n):
-            failures.append({"arity": n, "reason": "support mismatch"})
-        elif any(c not in (1, -1) for _, c in image.terms()):
-            failures.append({"arity": n, "reason": "coefficient not +-1"})
-    reports.append(
-        _report("cprime.structure-support", failures, f"arity 2..{cfg.max_arity}")
-    )
+        # support equal to the prime cacti and every coefficient +-1
+        unsigned = Element((u, abs(c)) for u, c in image.terms())
+        cases.append(
+            equality_report(f"structure-support[arity={n}]", unsigned, _unit_sum(prime_cacti(n)))
+        )
+    reports.append(_report("cprime.structure-support", cases, f"arity 2..{cfg.max_arity}"))
     return reports
 
 
@@ -282,13 +262,11 @@ def load_golden_table() -> list[tuple[str, Element]]:
 
 
 def run_golden_table(cfg: SuiteConfig) -> list[VerificationReport]:
-    failures = []
-    rows = load_golden_table()
-    for word, expected in rows:
-        got = word_image(word)
-        if got != expected:
-            failures.append({"word": word, "got": str(got), "expected": str(expected)})
-    return [_report("golden-table.rows", failures, f"{len(rows)} rows")]
+    cases = [
+        equality_report(f"golden-table[{word}]", word_image(word), expected)
+        for word, expected in load_golden_table()
+    ]
+    return [_report("golden-table.rows", cases, f"{len(cases)} rows")]
 
 
 SUITES: dict[str, Callable[[SuiteConfig], list[VerificationReport]]] = {

@@ -72,12 +72,6 @@ class Surjection:
     def __len__(self) -> int:
         return len(self.seq)
 
-    def value(self, i: int) -> int:
-        """The entry u(i) at 1-based position i."""
-        if not 1 <= i <= len(self.seq):
-            raise OutOfRangeError(f"position {i} not in 1..{len(self.seq)}")
-        return self.seq[i - 1]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Surjection) and self.seq == other.seq
 

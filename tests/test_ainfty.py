@@ -12,7 +12,6 @@ from cactusops import (
     WordError,
     a_infinity_boundary_image,
     a_infinity_image,
-    a_infinity_sign,
     all_words,
     black_op,
     boundary,
@@ -131,10 +130,9 @@ class TestStructureImage:
             assert all(c in (1, -1) for _, c in image.terms())
 
     def test_sign_lookup(self):
-        assert a_infinity_sign(S(1, 3, 1, 2)) == 1
-        assert a_infinity_sign(S(2, 1, 3, 1)) == -1
-        with pytest.raises(ValueError):
-            a_infinity_sign(S(1, 2, 1))
+        assert a_infinity_image(3).coefficient(S(1, 3, 1, 2)) == 1
+        assert a_infinity_image(3).coefficient(S(2, 1, 3, 1)) == -1
+        assert a_infinity_image(2).coefficient(S(1, 2, 1)) == 0
 
 
 class TestSplices:

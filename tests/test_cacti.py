@@ -11,11 +11,10 @@ from cactusops import (
     cactus_violation,
     compose,
     enumerate_basis,
-    filtration_level,
     flatten_lobe_tree,
     is_cactus,
+    length_cap,
     lobe_tree,
-    max_pair_alternation,
     prime_cacti,
     prime_cacti_count,
     prime_cacti_filtered,
@@ -27,18 +26,6 @@ from oracles import brute_force_sequences, naive_has_ijij, naive_max_alternation
 
 def S(*values):
     return Surjection(values)
-
-
-class TestFiltration:
-    def test_spec_values(self):
-        assert filtration_level(S(1, 2)) == 1
-        assert filtration_level(S(2, 1, 3, 1)) == 2
-        assert filtration_level(S(1, 2, 1, 2)) == 3
-        assert filtration_level(S(1)) == 1
-
-    @given(surjections)
-    def test_matches_naive_alternation(self, u):
-        assert max_pair_alternation(u) == naive_max_alternation(u.seq)
 
 
 class TestIsCactus:
@@ -55,11 +42,11 @@ class TestIsCactus:
     def test_witness_is_a_real_pattern(self, u):
         violation = cactus_violation(u)
         if violation is None:
-            assert filtration_level(u) <= 2
+            assert naive_max_alternation(u.seq) <= 3
         else:
             (p1, p2, p3, p4), (i, j) = violation
             assert p1 < p2 < p3 < p4
-            assert (u.value(p1), u.value(p2), u.value(p3), u.value(p4)) == (i, j, i, j)
+            assert tuple(u.seq[p - 1] for p in (p1, p2, p3, p4)) == (i, j, i, j)
             assert i != j
 
 
@@ -143,6 +130,12 @@ class TestEnumerateBasis:
         with pytest.raises(ResourceBoundError):
             enumerate_basis(3, 2, 2)
         assert len(enumerate_basis(3, 1, 2)) == 18
+
+    @pytest.mark.parametrize("raw", ["１４", " 14 ", "1_4", "+14", "0", "-3", ""])
+    def test_length_cap_accepts_only_ascii_digits(self, monkeypatch, raw):
+        monkeypatch.setenv("CACTUS_MAX_LEN", raw)
+        with pytest.raises(ResourceBoundError):
+            length_cap()
 
 
 class TestClosure:

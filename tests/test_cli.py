@@ -70,6 +70,22 @@ class TestCactiListing:
         assert code == 0
         assert out.splitlines() == ["(1,2,1,2,1)", "(2,1,2,1,2)"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["0"],
+            ["-2"],
+            ["3", "--level", "0"],
+            ["3", "--level", "-4"],
+            ["3", "--degree", "-1"],
+        ],
+    )
+    def test_out_of_range_arguments_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, "cacti", "list", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestRender:
     def test_stdout_dot(self, capsys):
@@ -114,6 +130,24 @@ class TestVerify:
         assert doc["pass"] is True
         assert doc["suites"][0]["suite"] == "golden-table"
         assert all(r["pass"] for r in doc["suites"][0]["reports"])
+
+    def test_every_failure_witness_has_one_shape(self, capsys, monkeypatch):
+        true_boundary = operad_module.boundary_basis
+        monkeypatch.setattr(operad_module, "boundary_basis", lambda u: -true_boundary(u))
+        code, out, _ = run(
+            capsys, "verify", "all", "--json", "--max-arity", "4", "--samples", "20"
+        )
+        assert code == 1
+        failed = {
+            r["check"]: r["witness"]
+            for suite in json.loads(out)["suites"]
+            for r in suite["reports"]
+            if not r["pass"]
+        }
+        assert {"a2inf.morphism", "ainf.morphism"} <= set(failed)
+        assert all(set(witness) == {"case", "witness"} for witness in failed.values())
+        for check in ("a2inf.morphism", "ainf.morphism"):
+            assert set(failed[check]["witness"]) == {"lhs", "rhs", "difference"}
 
     def test_failure_exits_one_with_witness(self, capsys, monkeypatch):
         from cactusops.reports import VerificationReport

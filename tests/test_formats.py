@@ -8,7 +8,6 @@ from cactusops import (
     Element,
     NonPositiveError,
     ParseError,
-    RenderSpec,
     Surjection,
     a_infinity_image,
     element_from_json,
@@ -17,7 +16,6 @@ from cactusops import (
     parse_element,
     parse_surjection,
     render_lobe_tree,
-    serialize_element,
     word_image,
 )
 
@@ -59,6 +57,14 @@ class TestParseSurjection:
         with pytest.raises(DegenerateError):
             parse_surjection("(1,1,2)")
 
+    @pytest.mark.parametrize(
+        "text, column", [("(²)", 2), ("²", 1), ("１２", 1), ("(１,2)", 2), ("(1,٣)", 4)]
+    )
+    def test_accepts_only_ascii_digits(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_surjection(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
 
 class TestParseElement:
     def test_nullhomotopy(self):
@@ -83,6 +89,14 @@ class TestParseElement:
         with pytest.raises(DegenerateError):
             parse_element("(1,1,2)")
 
+    @pytest.mark.parametrize(
+        "text, column", [("²", 1), ("(１,2)", 2), ("+(1,2) -٣*(2,1)", 9), ("２*(1,2)", 1)]
+    )
+    def test_accepts_only_ascii_digits(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_element(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
     def test_syntax_errors(self):
         for bad in ("", "+", "(1,2", "1,2)", "(1,2) junk", "2(1,2)", "*(1,2)"):
             with pytest.raises(ParseError):
@@ -91,20 +105,20 @@ class TestParseElement:
 
 class TestSerialize:
     def test_symmetrized_product(self):
-        assert serialize_element(a_infinity_image(2)) == "+(1,2) +(2,1)"
+        assert str(a_infinity_image(2)) == "+(1,2) +(2,1)"
 
     def test_zero(self):
-        assert serialize_element(Element.zero()) == "0"
+        assert str(Element.zero()) == "0"
 
     def test_table_row_in_canonical_order(self):
-        assert serialize_element(word_image("bwb")) == "-(1,3,1,2,4,2) -(1,3,1,4,1,2)"
+        assert str(word_image("bwb")) == "-(1,3,1,2,4,2) -(1,3,1,4,1,2)"
 
     def test_coefficients_spelled_only_when_not_unit(self):
-        assert serialize_element(E(1, 2).scale(2) - E(2, 1)) == "+2*(1,2) -(2,1)"
+        assert str(E(1, 2).scale(2) - E(2, 1)) == "+2*(1,2) -(2,1)"
 
     @given(elements())
     def test_round_trip(self, a):
-        assert parse_element(serialize_element(a)) == a
+        assert parse_element(str(a)) == a
 
 
 class TestJson:
@@ -140,53 +154,45 @@ class TestJson:
             element_from_json({"format": "cactus-v1", "terms": [entry]})
 
 
-class TestRenderSpec:
-    def test_validation(self):
+class TestRenderFormat:
+    def test_unknown_format(self):
         with pytest.raises(ValueError):
-            RenderSpec(format="png")
-        with pytest.raises(ValueError):
-            RenderSpec(format="svg", child_ratio=1.5)
-        with pytest.raises(ValueError):
-            RenderSpec(format="svg", root_radius=0)
+            render_lobe_tree(S(1, 2, 1), "png")
 
 
 class TestDot:
     def test_single_attachment(self):
-        out = render_lobe_tree(S(1, 2, 1), RenderSpec(format="dot"))
+        out = render_lobe_tree(S(1, 2, 1), "dot")
         assert "1 -> 2" in out
         assert out.count("->") == 1
 
     def test_figure_sequence_edges(self):
-        out = render_lobe_tree(S(1, 2, 3, 2, 1, 4, 1), RenderSpec(format="dot"))
+        out = render_lobe_tree(S(1, 2, 3, 2, 1, 4, 1), "dot")
         assert "1 -> 2" in out
         assert "2 -> 3" in out
         assert "1 -> 4" in out
         assert out.count("->") == 3
 
     def test_deterministic(self):
-        spec = RenderSpec(format="dot")
         tree = lobe_tree(S(2, 1, 3, 1))
-        assert render_lobe_tree(tree, spec) == render_lobe_tree(tree, spec)
+        assert render_lobe_tree(tree, "dot") == render_lobe_tree(tree, "dot")
 
 
 class TestSvg:
     def test_well_formed_with_one_circle_per_lobe(self):
         for u in (S(1, 2, 1), S(2, 1, 3, 1), S(1, 2, 3, 2, 1, 4, 1)):
-            out = render_lobe_tree(u, RenderSpec(format="svg"))
+            out = render_lobe_tree(u, "svg")
             root = ET.fromstring(out)
             circles = [e for e in root.iter() if e.tag.endswith("circle")]
             assert len(circles) == u.arity
 
     def test_deterministic(self):
-        spec = RenderSpec(format="svg")
-        assert render_lobe_tree(S(2, 1, 3, 1), spec) == render_lobe_tree(
-            S(2, 1, 3, 1), spec
-        )
+        assert render_lobe_tree(S(2, 1, 3, 1), "svg") == render_lobe_tree(S(2, 1, 3, 1), "svg")
 
 
 class TestText:
     def test_outline(self):
-        out = render_lobe_tree(S(2, 1, 3, 1), RenderSpec(format="text"))
+        out = render_lobe_tree(S(2, 1, 3, 1), "text")
         lines = out.splitlines()
         assert lines[0] == "lobe 2 [1 arc]"
         assert lines[1].strip().startswith("after arc 1: lobe 1")

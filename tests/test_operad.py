@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from cactusops import (
     UNIT,
     Element,
-    LobeOutOfRangeError,
     NotHomogeneousError,
+    OutOfRangeError,
     Surjection,
     boundary,
     boundary_basis,
@@ -60,9 +60,9 @@ class TestComposeBasis:
         assert compose_basis(S(1, 2), 2, S(1, 2, 1)) == E(1, 2, 3, 2)
 
     def test_lobe_out_of_range(self):
-        with pytest.raises(LobeOutOfRangeError):
+        with pytest.raises(OutOfRangeError):
             compose_basis(S(1, 2), 3, S(1, 2))
-        with pytest.raises(LobeOutOfRangeError):
+        with pytest.raises(OutOfRangeError):
             compose_basis(S(1, 2), 0, S(1, 2))
 
     def test_split_structure(self):
@@ -177,9 +177,9 @@ class TestAxiomChecks:
         }
 
     def test_index_errors(self):
-        with pytest.raises(LobeOutOfRangeError):
+        with pytest.raises(OutOfRangeError):
             check_operad_axioms(S(1, 2), 3, S(1, 2), 1, S(1, 2))
-        with pytest.raises(LobeOutOfRangeError):
+        with pytest.raises(OutOfRangeError):
             check_operad_axioms(S(1, 2), 1, S(1, 2), 4, S(1, 2))
 
     @given(cacti, cacti, cacti, st.data())

@@ -6,7 +6,6 @@ from cactusops import (
     DegenerateError,
     NonPositiveError,
     NotSurjectiveError,
-    OutOfRangeError,
     Surjection,
     insert_top_lobe,
 )
@@ -54,15 +53,6 @@ class TestValidate:
     def test_ordering_is_lexicographic(self):
         a, b, c = Surjection((1, 2)), Surjection((1, 2, 1)), Surjection((2, 1))
         assert sorted([c, b, a]) == [a, b, c]
-
-    def test_value_is_one_based(self):
-        u = Surjection((2, 1, 3, 1))
-        assert u.value(1) == 2
-        assert u.value(4) == 1
-        with pytest.raises(OutOfRangeError):
-            u.value(0)
-        with pytest.raises(OutOfRangeError):
-            u.value(5)
 
 
 def relative_degree(seq, a, b):
