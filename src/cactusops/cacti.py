@@ -8,6 +8,14 @@ spells out the sequence.  The cactus test used everywhere is a linear
 stack scan over the nesting structure of consecutive-occurrence gaps,
 which also returns the positions of a crossing (i,j,i,j) as witness; the
 scattered-pattern definition itself lives only in the test oracles.
+
+The basis of a stage is enumerated as shapes times relabellings.  A shape
+is a sequence whose values first appear in the order 1, 2, ..., n.  Adjacent
+repeats, surjectivity and the pair-alternation counts do not change when
+the values are renamed by a permutation, every sequence is the relabelling
+of exactly one shape, and distinct permutations of a shape give distinct
+sequences; so the backtracking search runs over shapes only, and each
+shape is relabelled by all n! permutations.
 """
 
 from __future__ import annotations
@@ -15,7 +23,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from itertools import permutations
+from operator import itemgetter
+from typing import Iterator, Optional
 
 from .errors import NotACactusError, ResourceBoundError
 from .surjections import Surjection, insert_top_lobe, recurrence_prefix
@@ -28,6 +38,7 @@ __all__ = [
     "lobe_tree",
     "flatten_lobe_tree",
     "enumerate_basis",
+    "iter_basis",
     "prime_cacti",
     "prime_cacti_filtered",
     "prime_cacti_count",
@@ -155,85 +166,116 @@ def flatten_lobe_tree(tree: LobeTree) -> Surjection:
     return Surjection(out)
 
 
-def enumerate_basis(
-    n: int, k: int, level: Optional[int] = 2, max_len: Optional[int] = None
-) -> list[Surjection]:
-    """All arity-n, degree-k surjections within a filtration stage.
-
-    ``level=None`` lifts the alternation bound and enumerates the full
-    basis.  Backtracking over the sequence positions in lexicographic
-    order, pruning on adjacent repeats, on pair-alternation exceeding
-    level+1, and on surjectivity becoming unreachable.  Raises ValueError
-    for n < 1, k < 0 or level < 1.
-    """
+def _basis_size(n: int, k: int, level: Optional[int], max_len: Optional[int]) -> int:
     if n < 1 or k < 0 or (level is not None and level < 1):
         raise ValueError(f"need arity >= 1, degree >= 0, level >= 1; got {n}, {k}, {level}")
     cap = length_cap() if max_len is None else max_len
     size = n + k
     if size > cap:
         raise ResourceBoundError(f"length {size} exceeds cap {cap}")
-    if level == 2 and k > n - 1:
-        return []  # cacti on n lobes have at most 2n-1 arcs
-    if n == 1:
-        return [Surjection((1,))] if k == 0 else []
+    return size
 
-    limit = size + 1 if level is None else level + 1
+
+def _shapes(n: int, size: int, level: Optional[int]) -> Iterator[tuple[int, ...]]:
+    """Shapes of one length within the stage, in lexicographic order.
+
+    Backtracks over the positions; a new value must be the next unused one.
+    Prunes on adjacent repeats, on surjectivity becoming unreachable and,
+    unless level is None, on a pair alternating more than level + 1 times.
+    A pair restriction has at most ``size`` blocks, so with level None
+    there is no alternation state to keep.
+    """
+    limit = None if level is None else level + 1
     # Alternation state per value pair: the number of maximal blocks in the
     # restriction of the current prefix to the pair, and the block value it
     # currently ends with (0 while the restriction is empty).
     pair_last = [[0] * (n + 1) for _ in range(n + 1)]
     pair_blocks = [[0] * (n + 1) for _ in range(n + 1)]
-    counts = [0] * (n + 1)
-    used = 0
     seq: list[int] = []
-    out: list[Surjection] = []
 
-    def extend() -> None:
-        nonlocal used
-        depth = len(seq)
-        if depth == size:
-            if used == n:
-                out.append(Surjection._unchecked(tuple(seq), n, k))
+    def extend(used: int) -> Iterator[tuple[int, ...]]:
+        remaining = size - len(seq)
+        if remaining == 0:
+            yield tuple(seq)  # the pruning below leaves no value missing
             return
-        remaining = size - depth
         last = seq[-1] if seq else 0
-        for c in range(1, n + 1):
-            if c == last:
-                continue
-            missing = n - used - (0 if counts[c] else 1)
-            if missing > remaining - 1:
+        for c in range(1, min(used + 1, n) + 1):
+            if c == last or n - max(used, c) > remaining - 1:
                 continue
             touched: list[tuple[int, int]] = []
-            ok = True
-            for x in range(1, n + 1):
-                if x == c or pair_last[x][c] == c:
+            if limit is not None:
+                ok = True
+                for x in range(1, n + 1):
+                    if x == c or pair_last[x][c] == c:
+                        continue
+                    if pair_blocks[x][c] + 1 > limit:
+                        ok = False
+                        break
+                    touched.append((x, pair_last[x][c]))
+                if not ok:
                     continue
-                if pair_blocks[x][c] + 1 > limit:
-                    ok = False
-                    break
-                touched.append((x, pair_last[x][c]))
-            if ok:
                 for x, _ in touched:
                     pair_blocks[x][c] += 1
                     pair_blocks[c][x] += 1
                     pair_last[x][c] = c
                     pair_last[c][x] = c
-                if counts[c] == 0:
-                    used += 1
-                counts[c] += 1
-                seq.append(c)
-                extend()
-                seq.pop()
-                counts[c] -= 1
-                if counts[c] == 0:
-                    used -= 1
-                for x, old in touched:
-                    pair_blocks[x][c] -= 1
-                    pair_blocks[c][x] -= 1
-                    pair_last[x][c] = old
-                    pair_last[c][x] = old
+            seq.append(c)
+            yield from extend(max(used, c))
+            seq.pop()
+            for x, old in touched:
+                pair_blocks[x][c] -= 1
+                pair_blocks[c][x] -= 1
+                pair_last[x][c] = old
+                pair_last[c][x] = old
 
-    extend()
+    return extend(0)
+
+
+def _sequences(n: int, size: int, level: Optional[int]) -> Iterator[tuple[int, ...]]:
+    """Every basis sequence, shape by shape: each shape under every relabelling."""
+    if level == 2 and size > 2 * n - 1:
+        return  # cacti on n lobes have at most 2n-1 arcs
+    if n == 1:  # itemgetter of a single index would return a bare value
+        if size == 1:
+            yield (1,)
+        return
+    values = range(1, n + 1)
+    for shape in _shapes(n, size, level):
+        yield from map(itemgetter(*(v - 1 for v in shape)), permutations(values))
+
+
+def iter_basis(
+    n: int, k: int, level: Optional[int] = 2, max_len: Optional[int] = None
+) -> Iterator[Surjection]:
+    """Lazily, the arity-n, degree-k surjections within a filtration stage.
+
+    The order is shape-major and **not** lexicographic: each shape (values
+    first appearing in the order 1, 2, ..., n) is followed by its n!
+    relabellings, in the order of ``itertools.permutations``.  Arguments are
+    checked when this is called, not on the first ``next()``: ValueError
+    for n < 1, k < 0 or level < 1, and ResourceBoundError when n + k
+    exceeds the length cap.  ``level=None`` enumerates the full basis.
+    """
+    size = _basis_size(n, k, level, max_len)
+    return (Surjection._unchecked(seq, n, k) for seq in _sequences(n, size, level))
+
+
+def enumerate_basis(
+    n: int, k: int, level: Optional[int] = 2, max_len: Optional[int] = None
+) -> list[Surjection]:
+    """All arity-n, degree-k surjections within a filtration stage, sorted.
+
+    The same elements as ``iter_basis``, in lexicographic order; the same
+    arguments and errors.  Renaming the values by a permutation preserves
+    adjacent repeats, surjectivity and every pair-alternation count, and a
+    sequence is the relabelling of exactly one shape (rename its values by
+    order of first appearance), so shapes times permutations are the basis.
+    """
+    size = _basis_size(n, k, level, max_len)
+    out: list = list(_sequences(n, size, level))
+    out.sort()
+    for i, seq in enumerate(out):
+        out[i] = Surjection._unchecked(seq, n, k)
     return out
 
 

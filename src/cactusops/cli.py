@@ -99,6 +99,11 @@ def cmd_psi(args: argparse.Namespace) -> int:
 def cmd_cacti_list(args: argparse.Namespace) -> int:
     n = args.arity
     if args.prime:
+        if args.degree not in (None, n - 2) or args.level != 2:
+            raise ValueError(
+                f"--prime lists the stage-2 cacti of degree {n - 2}; "
+                f"got --degree {args.degree} --level {args.level}"
+            )
         for u in prime_cacti(n):
             print(u)
         return 0

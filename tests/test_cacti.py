@@ -1,3 +1,5 @@
+from math import comb, factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from cactusops import (
     enumerate_basis,
     flatten_lobe_tree,
     is_cactus,
+    iter_basis,
     length_cap,
     lobe_tree,
     prime_cacti,
@@ -120,10 +123,54 @@ class TestEnumerateBasis:
         out = enumerate_basis(3, 1, 2)
         assert out == sorted(out)
 
+    @pytest.mark.parametrize("level", [1, 2, 3, None])
+    def test_matches_definition(self, level):
+        for n in range(1, 5):
+            for k in range(0, 8 - n):
+                expected = [
+                    seq
+                    for seq in brute_force_sequences(n, n + k)
+                    if level is None or naive_max_alternation(seq) <= level + 1
+                ]
+                got = enumerate_basis(n, k, level)
+                assert [u.seq for u in got] == expected, (n, k, level)
+                assert sorted(iter_basis(n, k, level), key=lambda u: u.seq) == got
+
+    def test_stage_two_counts_closed_form(self):
+        # n! labellings of the lobe trees on n lobes in which each of the k
+        # non-last arcs carries a lobe: the plane trees on n nodes with i
+        # leaves number N(n-1, i) (Narayana), and C(i, n-1-k) places them.
+        def count(n, k):
+            m, r = n - 1, n - 1 - k
+            if r < 0:
+                return 0
+            if m == 0:
+                return 1
+            narayana = [comb(m, i) * comb(m, i - 1) // m for i in range(1, m + 1)]
+            return factorial(n) * sum(N * comb(i, r) for i, N in enumerate(narayana, 1))
+
+        for n in range(1, 7):
+            for k in range(0, n + 1):
+                assert len(enumerate_basis(n, k, 2)) == count(n, k), (n, k)
+        assert count(7, 6) == 665_280
+        assert sum(1 for _ in iter_basis(7, 6, 2)) == 665_280
+
+    def test_full_basis_counts_closed_form(self):
+        # Inclusion-exclusion over the values left out: j * (j-1)^(L-1)
+        # sequences of length L on j values have no adjacent repeats.
+        for n in range(1, 5):
+            for k in range(0, 11 - n):
+                size = n + k
+                expected = sum(
+                    (-1) ** (n - j) * comb(n, j) * j * (j - 1) ** (size - 1)
+                    for j in range(0, n + 1)
+                )
+                assert len(enumerate_basis(n, k, None)) == expected, (n, k)
+
     def test_resource_bound(self):
         with pytest.raises(ResourceBoundError):
-            enumerate_basis(3, 20, None)
-        assert enumerate_basis(3, 20, None, max_len=30) != []
+            iter_basis(3, 20, None)
+        assert len(next(iter_basis(3, 20, None, max_len=30))) == 23
 
     def test_length_cap_env(self, monkeypatch):
         monkeypatch.setenv("CACTUS_MAX_LEN", "4")

@@ -64,6 +64,16 @@ class TestCactiListing:
         code, out, _ = run(capsys, "cacti", "list", "3", "--prime")
         assert code == 0
         assert out.splitlines() == ["(1,3,1,2)", "(2,1,3,1)"]
+        code, out, _ = run(capsys, "cacti", "list", "3", "--prime", "--degree", "1", "--level", "2")
+        assert code == 0
+        assert out.splitlines() == ["(1,3,1,2)", "(2,1,3,1)"]
+
+    @pytest.mark.parametrize("flags", [["--degree", "5"], ["--degree", "0"], ["--level", "3"]])
+    def test_prime_rejects_other_degree_or_level(self, capsys, flags):
+        code, out, err = run(capsys, "cacti", "list", "3", "--prime", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --prime")
 
     def test_level(self, capsys):
         code, out, _ = run(capsys, "cacti", "list", "2", "--degree", "3", "--level", "4")
