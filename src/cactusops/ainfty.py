@@ -28,11 +28,11 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Union
 
-from .elements import Element, as_element
+from .elements import Element, Seq, as_element
 from .errors import MaxValueNotUniqueError, OutOfRangeError, WordError
 from .operad import boundary, compose
 from .reports import VerificationReport, sides_report
-from .surjections import Surjection, insert_top_lobe, recurrence_prefix
+from .surjections import Surjection, recurrence_prefix
 
 __all__ = [
     "all_words",
@@ -79,13 +79,16 @@ def _top_position(u: Surjection) -> int:
 
 def _insertion_half(u: Surjection, before: bool) -> Element:
     top = _top_position(u)
-    prefix = recurrence_prefix(u.seq)
+    seq = u.seq
+    prefix = recurrence_prefix(seq)
     k = u.degree
-    positions = range(1, top) if before else range(top + 1, len(u.seq) + 1)
+    new = (u.arity + 1,)
+    positions = range(1, top) if before else range(top + 1, len(seq) + 1)
     outer = 1 if before else -1
-    acc: dict[Surjection, int] = {}
+    acc: dict[Seq, int] = {}
     for j in positions:  # distinct positions give distinct terms
-        acc[insert_top_lobe(u, j)] = outer * (-1 if (k + prefix[j - 1]) % 2 else 1)
+        # The top-lobe insertion at j, as in ``insert_top_lobe``.
+        acc[seq[:j] + new + seq[j - 1 :]] = outer * (-1 if (k + prefix[j - 1]) % 2 else 1)
     return Element._trusted(acc)
 
 
@@ -125,9 +128,19 @@ def word_image(word: str) -> Element:
     return result
 
 
+_a_infinity_image_cache: dict[int, Element] = {}
+
+
 def a_infinity_image(n: int) -> Element:
-    """Arity-n structure map: the sum of word images over all arity-n words."""
-    return Element.sum((1, word_image(letters)) for letters in all_words(n))
+    """Arity-n structure map: the sum of word images over all arity-n words.
+
+    Memoized like ``word_image``.
+    """
+    cached = _a_infinity_image_cache.get(n)
+    if cached is None:
+        cached = Element.sum((1, word_image(letters)) for letters in all_words(n))
+        _a_infinity_image_cache[n] = cached
+    return cached
 
 
 def splice(outer: str, slot: int, inner: str) -> str:

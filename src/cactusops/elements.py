@@ -1,14 +1,19 @@
 """Finite integer-coefficient formal sums of surjections.
 
 Coefficients are exact Python integers; terms with coefficient zero are
-never stored.  Terms are kept in a plain dict and sorted lexicographically
-whenever an ordering is visible (iteration, serialization, equality of
-string forms).
+never stored.  An element is a plain dict keyed by the raw value sequence
+of each basis surjection, ``tuple[int, ...]``, so hashing and equality of
+terms run on tuples, in C.  ``Surjection`` objects appear only at the API
+boundary: ``terms()``, ``support()`` and the argument that
+``apply_linear`` passes to its map are rebuilt from the sequences, which
+are valid by construction.  Terms are sorted lexicographically whenever an
+ordering is visible (iteration, serialization, equality of string forms).
 
 Every sum in the package goes through one in-place update, ``_accumulate``.
 ``Element.sum`` streams ``(coeff, Element)`` parts through it; the operad
-kernels feed it ``(term, sign)`` pairs and wrap the finished dict with
-``Element._trusted``, which skips validation.
+kernels of Berger-Fresse (arXiv:math/0109158) feed it ``(sequence, sign)``
+pairs and wrap the finished dict with ``Element._trusted``, which skips
+validation.
 """
 
 from __future__ import annotations
@@ -16,26 +21,33 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import NotHomogeneousError
-from .surjections import Surjection
+from .surjections import Surjection, _seq_str
 
 __all__ = ["Element", "as_element"]
 
 
-def _accumulate(
-    data: dict[Surjection, int], pairs: Iterable[tuple[Surjection, int]], scale: int = 1
-) -> None:
-    """Add scale * coeff to data[term] for each (term, coeff), in place.
+Seq = tuple[int, ...]
+
+
+def _accumulate(data: dict[Seq, int], pairs: Iterable[tuple[Seq, int]], scale: int = 1) -> None:
+    """Add scale * coeff to data[seq] for each (seq, coeff), in place.
 
     Terms whose coefficient becomes zero are removed, so ``data`` never
     holds a zero coefficient.
     """
     get = data.get
-    for term, coeff in pairs:
-        new = get(term, 0) + scale * coeff
+    for seq, coeff in pairs:
+        new = get(seq, 0) + scale * coeff
         if new:
-            data[term] = new
+            data[seq] = new
         else:
-            data.pop(term, None)
+            data.pop(seq, None)
+
+
+def _basis(seq: Seq) -> Surjection:
+    # The surjection of a stored sequence, which is valid by construction.
+    n = max(seq)
+    return Surjection._unchecked(seq, n, len(seq) - n)
 
 
 def _tagged(f: Callable[[Surjection], "Element"], u: Surjection) -> "Element":
@@ -59,13 +71,13 @@ class Element:
         for u, _ in items:
             if not isinstance(u, Surjection):
                 raise TypeError(f"basis term {u!r} is not a Surjection")
-        data: dict[Surjection, int] = {}
-        _accumulate(data, items)
+        data: dict[Seq, int] = {}
+        _accumulate(data, ((u.seq, c) for u, c in items))
         object.__setattr__(self, "_terms", data)
 
     @classmethod
-    def _trusted(cls, data: dict[Surjection, int]) -> "Element":
-        # Takes ownership of a dict of Surjection keys with nonzero coefficients.
+    def _trusted(cls, data: dict[Seq, int]) -> "Element":
+        # Takes ownership of a dict of valid sequences with nonzero coefficients.
         out = cls.__new__(cls)
         object.__setattr__(out, "_terms", data)
         return out
@@ -85,7 +97,7 @@ class Element:
         Parts are added into one dict as they arrive, so a generator of
         parts is summed without holding more than one part at a time.
         """
-        data: dict[Surjection, int] = {}
+        data: dict[Seq, int] = {}
         for coeff, part in parts:
             _accumulate(data, part._terms.items(), coeff)
         return cls._trusted(data)
@@ -95,13 +107,13 @@ class Element:
 
     def terms(self) -> list[tuple[Surjection, int]]:
         """Terms sorted lexicographically by sequence."""
-        return sorted(self._terms.items(), key=lambda item: item[0].seq)
+        return [(_basis(seq), c) for seq, c in sorted(self._terms.items())]
 
     def support(self) -> list[Surjection]:
-        return sorted(self._terms, key=lambda u: u.seq)
+        return [_basis(seq) for seq in sorted(self._terms)]
 
     def coefficient(self, u: Surjection) -> int:
-        return self._terms.get(u, 0)
+        return self._terms.get(u.seq, 0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -120,7 +132,7 @@ class Element:
         return Element._trusted(data)
 
     def __neg__(self) -> "Element":
-        return Element._trusted({u: -c for u, c in self._terms.items()})
+        return Element._trusted({seq: -c for seq, c in self._terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
@@ -130,7 +142,7 @@ class Element:
     def scale(self, c: int) -> "Element":
         if c == 0:
             return Element.zero()
-        return Element._trusted({u: c * k for u, k in self._terms.items()})
+        return Element._trusted({seq: c * k for seq, k in self._terms.items()})
 
     def __rmul__(self, c: int) -> "Element":
         if not isinstance(c, int):
@@ -146,13 +158,14 @@ class Element:
         first = next(it, None)
         if first is None:
             return None
-        bideg = (first.arity, first.degree)
-        for u in it:
-            if (u.arity, u.degree) != bideg:
+        arity, size = max(first), len(first)
+        for seq in it:
+            if len(seq) != size or max(seq) != arity:
+                u, v = _basis(first), _basis(seq)
                 raise NotHomogeneousError(
-                    f"mixed terms: {first} is {bideg}, {u} is {(u.arity, u.degree)}"
+                    f"mixed terms: {u} is {(u.arity, u.degree)}, {v} is {(v.arity, v.degree)}"
                 )
-        return bideg
+        return arity, size - arity
 
     def apply_linear(self, f: Callable[[Surjection], "Element"]) -> "Element":
         """Extend the basis-level map f linearly: sum of coeff * f(term).
@@ -160,17 +173,17 @@ class Element:
         An exception raised by f propagates as the same object, its message
         tagged once with the basis term it was raised at.
         """
-        return Element.sum((c, _tagged(f, u)) for u, c in self._terms.items())
+        return Element.sum((c, _tagged(f, _basis(seq))) for seq, c in self._terms.items())
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts = []
-        for u, c in self.terms():
+        for seq, c in sorted(self._terms.items()):
             sign = "+" if c > 0 else "-"
             mag = abs(c)
-            body = str(u) if mag == 1 else f"{mag}*{u}"
-            parts.append(f"{sign}{body}")
+            body = _seq_str(seq)
+            parts.append(f"{sign}{body}" if mag == 1 else f"{sign}{mag}*{body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:

@@ -7,10 +7,20 @@ both sides relabelled so the result is again a surjection: the sum over
 block interleavings of Berger-Fresse (arXiv:math/0109158).  Every sign in
 this module is produced by the Koszul rule: reordering two blocks of
 degrees d1, d2 costs (-1)**(d1*d2), where a block's degree is a relative
-degree (see ``surjections.recurrence_prefix``).  The one kernel,
-``composition_splits``, yields ``(composite, sign)`` pairs, which
-``compose_basis`` and ``compose`` add straight into the in-place
-accumulator of ``elements``.
+degree (see ``surjections.recurrence_prefix``).  In a composite the p-th
+inner block moves in front of the outer blocks p, p+1, ..., r-1 and past
+no other block, so the sign of a split has the closed form
+
+    (-1) ** sum_p deg(inner_p) * sum_{q >= p} deg(outer_q),
+
+one product per block read off the suffix parities of the outer degrees.
+
+The one kernel, ``composition_splits``, yields ``(sequence, sign)``
+pairs, which ``compose_basis`` and ``compose`` add straight into the
+in-place accumulator of ``elements``, keyed by the raw sequence.  The
+relabelled outer blocks and their suffix parities depend only on the
+outer factor; ``compose`` visits the pairs outer-major, so a one-entry
+memo computes them once per outer term.
 
 The differential deletes one entry at a time; entries that are the only
 occurrence of their value are skipped, and deletions that would leave two
@@ -19,17 +29,17 @@ equal adjacent entries are identified with zero.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
-from .elements import Element, _accumulate, as_element
+from .elements import Element, Seq, _accumulate, as_element
 from .errors import OutOfRangeError
 from .reports import VerificationReport, equality_report, sides_report
 from .surjections import Surjection, recurrence_prefix
 
 __all__ = [
     "UNIT",
-    "koszul_sign",
     "composition_splits",
     "compose_basis",
     "compose",
@@ -42,82 +52,62 @@ __all__ = [
 UNIT = Surjection((1,))
 
 
-def koszul_sign(degrees: Sequence[int], target_order: Sequence[int]) -> int:
-    """Sign of reordering graded symbols into ``target_order``.
+@lru_cache(maxsize=1)
+def _outer_factor(vseq: Seq, t: int, n_inner: int) -> tuple[tuple[Seq, ...], tuple[int, ...]]:
+    """The outer factor's share of every split of v o_t u.
 
-    ``degrees[s]`` is the degree of source symbol s; ``target_order`` lists
-    source indices in their final order.  Each inverted pair of symbols of
-    odd degrees contributes a factor -1.  Quadratic on purpose: the block
-    count here is tiny and the fold is easy to audit.
+    Returns the r + 1 stretches of v around the occurrences of t, with the
+    values above t raised past the arity(u) - 1 new lobes, and the suffix
+    parities: entry p is the parity of the summed degrees of the outer
+    blocks p, ..., r-1.  Those blocks tile v from the p-th occurrence of t
+    to its end, so the sum is the degree of v minus a prefix value.
     """
-    sign = 1
-    for a in range(len(target_order)):
-        sa = target_order[a]
-        if degrees[sa] % 2 == 0:
-            continue
-        for b in range(a + 1, len(target_order)):
-            sb = target_order[b]
-            if sa > sb and degrees[sb] % 2:
-                sign = -sign
-    return sign
+    positions = [p for p, w in enumerate(vseq) if w == t]
+    prefix = recurrence_prefix(vseq)
+    parities = tuple((prefix[-1] - prefix[p]) & 1 for p in positions)
+    shift = n_inner - 1
+    blocks = []
+    prev = 0
+    for p in positions + [len(vseq)]:
+        blocks.append(tuple(s if s < t else s + shift for s in vseq[prev:p]))
+        prev = p + 1
+    return tuple(blocks), parities
 
 
-def composition_splits(v: Surjection, t: int, u: Surjection) -> Iterator[tuple[Surjection, int]]:
-    """All summands of v o_t u as ``(composite, sign)`` pairs.
+def composition_splits(v: Surjection, t: int, u: Surjection) -> Iterator[tuple[Seq, int]]:
+    """All summands of v o_t u as ``(sequence, sign)`` pairs.
 
     One summand per breakpoints 1 = j_0 <= j_1 <= ... <= j_r = len(u): the
     p-th occurrence of t in v becomes the stretch u(j_{p-1}..j_p) shifted
     onto lobes t.., and the sign is the Koszul sign of moving each such
-    inner block in front of the outer block that starts at its occurrence.
-    No composite is degenerate, so none is dropped: every stretch is a piece
-    of a non-degenerate sequence, inner and outer values differ, and two
-    inner stretches are separated by the nonempty stretch of v between two
-    occurrences of t.
+    inner block in front of the outer block that starts at its occurrence
+    and every later one.  No composite is degenerate, so none is dropped:
+    every stretch is a piece of a non-degenerate sequence, inner and outer
+    values differ, and two inner stretches are separated by the nonempty
+    stretch of v between two occurrences of t.
     """
     if not 1 <= t <= v.arity:
         raise OutOfRangeError(f"lobe {t} not in 1..{v.arity}")
-    vseq, useq = v.seq, u.seq
-    n_inner = u.arity
-    inner_len = len(useq)
-    positions = [p + 1 for p, w in enumerate(vseq) if w == t]
-    r = len(positions)
-
-    vprefix = recurrence_prefix(vseq)
+    useq = u.seq
+    blocks, parities = _outer_factor(v.seq, t, u.arity)
+    head, tails = blocks[0], blocks[1:]
     uprefix = recurrence_prefix(useq)
-    # Outer block degrees: windows from each occurrence of t to the next
-    # (or to the end of v for the last block).
-    ends = positions[1:] + [len(vseq)]
-    outer_degrees = [vprefix[b - 1] - vprefix[a - 1] for a, b in zip(positions, ends)]
-    # Stretches of v around the occurrences of t, relabelled past the new lobes.
-    outer_blocks = []
-    prev = 0
-    for p in positions + [len(vseq) + 1]:
-        outer_blocks.append(tuple(s if s < t else s + n_inner - 1 for s in vseq[prev : p - 1]))
-        prev = p
-    shifted_inner = tuple(s + t - 1 for s in useq)
-    target_order = []
-    for p in range(r):
-        target_order.extend((r + p, p))
-
-    out_arity = v.arity + n_inner - 1
-    out_degree = v.degree + u.degree
-
-    for mids in combinations_with_replacement(range(1, inner_len + 1), r - 1):
-        cuts = (1, *mids, inner_len)
-        inner_degrees = []
-        composite = list(outer_blocks[0])
-        for p in range(r):
-            start, stop = cuts[p], cuts[p + 1]
-            inner_degrees.append(uprefix[stop - 1] - uprefix[start - 1])
-            composite.extend(shifted_inner[start - 1 : stop])
-            composite.extend(outer_blocks[p + 1])
-        sign = koszul_sign(outer_degrees + inner_degrees, target_order)
-        yield Surjection._unchecked(tuple(composite), out_arity, out_degree), sign
+    shifted = tuple(s + t - 1 for s in useq)
+    last = len(useq) - 1
+    # Breakpoints as 0-based positions of u: stretch p is u[c_p .. c_{p+1}].
+    for mids in combinations_with_replacement(range(last + 1), len(tails) - 1):
+        composite = head
+        odd = start = 0
+        for stop, tail, parity in zip((*mids, last), tails, parities):
+            composite += shifted[start : stop + 1] + tail
+            odd ^= (uprefix[stop] - uprefix[start]) & parity
+            start = stop
+        yield composite, -1 if odd else 1
 
 
 def compose_basis(v: Surjection, t: int, u: Surjection) -> Element:
     """Operadic composition of basis surjections, as an element."""
-    data: dict[Surjection, int] = {}
+    data: dict[Seq, int] = {}
     _accumulate(data, composition_splits(v, t, u))
     return Element._trusted(data)
 
@@ -126,14 +116,16 @@ def compose(a: Union[Element, Surjection], t: int, b: Union[Element, Surjection]
     """Bilinear extension of basis composition.  Inputs must be homogeneous."""
     ea, eb = as_element(a), as_element(b)
     bideg_a = ea.bidegree()
-    eb.bidegree()
-    if bideg_a is None or not eb:
+    bideg_b = eb.bidegree()
+    if bideg_a is None:
         return Element.zero()
     if not 1 <= t <= bideg_a[0]:
         raise OutOfRangeError(f"lobe {t} not in 1..{bideg_a[0]}")
-    data: dict[Surjection, int] = {}
-    for u1, c1 in ea.terms():
-        for u2, c2 in eb.terms():
+    inner = [(Surjection._unchecked(seq, *bideg_b), c) for seq, c in eb._terms.items()]
+    data: dict[Seq, int] = {}
+    for seq, c1 in ea._terms.items():
+        u1 = Surjection._unchecked(seq, *bideg_a)
+        for u2, c2 in inner:
             _accumulate(data, composition_splits(u1, t, u2), c1 * c2)
     return Element._trusted(data)
 
@@ -151,7 +143,7 @@ def boundary_basis(u: Surjection) -> Element:
     size = len(seq)
     prefix = recurrence_prefix(seq)
 
-    def deletions() -> Iterator[tuple[Surjection, int]]:
+    def deletions() -> Iterator[tuple[Seq, int]]:
         prev_occurrence: dict[int, int] = {}
         for i in range(1, size + 1):
             v = seq[i - 1]
@@ -165,10 +157,9 @@ def boundary_basis(u: Surjection) -> Element:
                 exponent = prefix[prev]  # relative degree of u(1..prev+1)
             if 2 <= i <= size - 1 and seq[i - 2] == seq[i]:
                 continue  # degenerate deletion counts as zero
-            term = Surjection._unchecked(seq[: i - 1] + seq[i:], u.arity, u.degree - 1)
-            yield term, -1 if exponent % 2 else 1
+            yield seq[: i - 1] + seq[i:], -1 if exponent % 2 else 1
 
-    data: dict[Surjection, int] = {}
+    data: dict[Seq, int] = {}
     _accumulate(data, deletions())
     return Element._trusted(data)
 

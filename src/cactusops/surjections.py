@@ -85,10 +85,15 @@ class Surjection:
         return self.seq <= other.seq
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(v) for v in self.seq) + ")"
+        return _seq_str(self.seq)
 
     def __repr__(self) -> str:
         return f"Surjection({self.seq!r})"
+
+
+def _seq_str(seq: tuple[int, ...]) -> str:
+    """The text form ``(v1,v2,...)`` of a value sequence."""
+    return "(" + ",".join(map(str, seq)) + ")"
 
 
 def recurrence_prefix(seq: tuple[int, ...]) -> list[int]:

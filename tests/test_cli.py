@@ -34,6 +34,12 @@ class TestComputationCommands:
         assert code == 0
         assert out == "+(1,2,3)\n"
 
+    def test_compose_lobe_out_of_range_with_zero_right_operand(self, capsys):
+        code, out, err = run(capsys, "compose", "+(1,2)", "3", "0")
+        assert code == 2
+        assert out == ""
+        assert "lobe 3 not in 1..2" in err
+
     def test_parse_error_exits_two(self, capsys):
         code, _, err = run(capsys, "boundary", "(1,1,2)")
         assert code == 2
@@ -230,7 +236,13 @@ class TestMutationSmoke:
         assert "FAIL" in out
 
     def test_dropped_koszul_rule_detected(self, capsys, monkeypatch):
-        monkeypatch.setattr(operad_module, "koszul_sign", lambda degrees, order: 1)
+        # Zero outer suffix parities make the sign of every split +1.
+        true_outer = operad_module._outer_factor
+        monkeypatch.setattr(
+            operad_module,
+            "_outer_factor",
+            lambda vseq, t, n_inner: (true_outer(vseq, t, n_inner)[0], (0,) * vseq.count(t)),
+        )
         code, out, _ = run(capsys, *self.ARGS)
         assert code == 1
         assert "FAIL" in out

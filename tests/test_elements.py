@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from cactusops import (
     Element,
@@ -11,7 +12,7 @@ from cactusops import (
     white_op,
 )
 
-from conftest import elements
+from conftest import elements, surjections
 
 
 def S(*values):
@@ -66,6 +67,32 @@ class TestArithmetic:
     @given(elements(), elements())
     def test_string_form_determines_equality(self, a, b):
         assert (str(a) == str(b)) == (a == b)
+
+
+class TestSequenceStorage:
+    """Terms are stored by raw sequence and rebuilt as surjections on the way out."""
+
+    @given(elements())
+    def test_rebuilt_terms_are_the_validated_surjections(self, a):
+        terms, support = a.terms(), a.support()
+        assert len(terms) == len(support) == len(a)
+        for (u, _), w in zip(terms, support):
+            v = Surjection(u.seq)
+            for x in (u, w):
+                assert (x, x.arity, x.degree) == (v, v.arity, v.degree)
+
+    @given(elements(), surjections)
+    def test_coefficient_agrees_with_terms(self, a, u):
+        assert a.coefficient(u) == dict(a.terms()).get(u, 0)
+
+    @given(surjections, surjections, st.integers(1, 3), st.integers(-3, -1))
+    def test_mixed_message(self, u, v, a, b):
+        assume((u.arity, u.degree) != (v.arity, v.degree))
+        with pytest.raises(NotHomogeneousError) as info:
+            Element([(u, a), (v, b)]).bidegree()
+        assert str(info.value) == (
+            f"mixed terms: {u} is {(u.arity, u.degree)}, {v} is {(v.arity, v.degree)}"
+        )
 
 
 class TestHomogeneity:

@@ -16,11 +16,10 @@ from cactusops import (
     compose_basis,
     composition_splits,
     enumerate_basis,
-    koszul_sign,
 )
 
 from conftest import cacti, elements, surjections
-from oracles import brute_force_sequences, naive_compose, naive_koszul_sign
+from oracles import brute_force_sequences, naive_compose
 
 
 def S(*values):
@@ -29,24 +28,6 @@ def S(*values):
 
 def E(*values):
     return Element.single(Surjection(values))
-
-
-class TestKoszulSign:
-    def test_even_degrees_never_sign(self):
-        assert koszul_sign([2, 0, 4, 0], [3, 2, 1, 0]) == 1
-
-    def test_single_swap_of_odd_symbols(self):
-        assert koszul_sign([1, 1], [1, 0]) == -1
-        assert koszul_sign([1, 2], [1, 0]) == 1
-
-    @given(
-        st.lists(st.integers(0, 3), min_size=1, max_size=6).flatmap(
-            lambda degs: st.permutations(range(len(degs))).map(lambda p: (degs, list(p)))
-        )
-    )
-    def test_matches_parity_oracle(self, case):
-        degrees, order = case
-        assert koszul_sign(degrees, order) == naive_koszul_sign(degrees, order)
 
 
 class TestComposeBasis:
@@ -67,12 +48,14 @@ class TestComposeBasis:
 
     def test_split_structure(self):
         splits = list(composition_splits(S(1, 2, 1), 1, S(1, 2)))
-        assert [(w.seq, sign) for w, sign in splits] == [((1, 3, 1, 2), 1), ((1, 2, 3, 2), 1)]
-        for w, _ in splits:
-            assert w == Surjection(w.seq)
+        assert splits == [((1, 3, 1, 2), 1), ((1, 2, 3, 2), 1)]
 
     def test_matches_definition_oracle(self):
-        pool = [u for n in range(1, 4) for k in range(n) for u in enumerate_basis(n, k, level=2)]
+        # The full basis up to length 5, so that odd-degree junctions such as
+        # (1,2,1,2) exercise every term of the closed-form sign.
+        pool = [
+            u for n in range(1, 4) for k in range(6 - n) for u in enumerate_basis(n, k, level=None)
+        ]
         for v in pool:
             for u in pool:
                 for t in range(1, v.arity + 1):
@@ -110,6 +93,12 @@ class TestComposeElements:
     def test_zero_factor_gives_zero(self):
         assert compose(Element.zero(), 1, E(1, 2)) == Element.zero()
         assert compose(E(1, 2), 1, Element.zero()) == Element.zero()
+
+    def test_lobe_checked_against_zero_right_operand(self):
+        with pytest.raises(OutOfRangeError, match=r"lobe 3 not in 1\.\.2"):
+            compose(E(1, 2), 3, Element.zero())
+        with pytest.raises(OutOfRangeError):
+            compose(E(1, 2), 0, Element.zero())
 
 
 class TestBoundary:
