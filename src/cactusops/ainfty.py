@@ -21,6 +21,10 @@ is the symmetrized product (1,2) + (2,1).
 Every sum here (the word images of one arity, the splice sums of the
 boundary images) is streamed into ``Element.sum``, which adds each part
 into one dict in place; no intermediate total is ever copied.
+
+The support of the arity-n structure map is the set of prime cacti, so
+its size 2(2n-5)!! is known before any work; structure maps above
+``_MAX_IMAGE_TERMS`` terms are refused up front with ``ResourceBoundError``.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Union
 
+from .cacti import prime_cacti_count
 from .elements import Element, Seq, as_element
-from .errors import MaxValueNotUniqueError, OutOfRangeError, WordError
+from .errors import MaxValueNotUniqueError, OutOfRangeError, ResourceBoundError, WordError
 from .operad import boundary, compose
 from .reports import VerificationReport, sides_report
 from .surjections import Surjection, recurrence_prefix
@@ -51,6 +56,10 @@ __all__ = [
 
 WHITE = "w"
 BLACK = "b"
+
+# The largest structure map built: psi_10 has 4,054,050 terms and takes
+# about 1.1 GB; psi_11 would have 68,918,850.
+_MAX_IMAGE_TERMS = 5_000_000
 
 _BASE = {WHITE: (2, 1), BLACK: (1, 2)}
 
@@ -128,16 +137,27 @@ def word_image(word: str) -> Element:
     return result
 
 
+def _check_image_size(n: int) -> None:
+    """Refuse, before any work, an arity whose structure map exceeds the bound."""
+    if n >= 2 and (count := prime_cacti_count(n)) > _MAX_IMAGE_TERMS:
+        raise ResourceBoundError(
+            f"arity {n}: the structure map has {count} terms, "
+            f"more than the bound of {_MAX_IMAGE_TERMS}"
+        )
+
+
 _a_infinity_image_cache: dict[int, Element] = {}
 
 
 def a_infinity_image(n: int) -> Element:
     """Arity-n structure map: the sum of word images over all arity-n words.
 
-    Memoized like ``word_image``.
+    Memoized like ``word_image``.  Raises ResourceBoundError when the
+    map would have more than ``_MAX_IMAGE_TERMS`` terms.
     """
     cached = _a_infinity_image_cache.get(n)
     if cached is None:
+        _check_image_size(n)
         cached = Element.sum((1, word_image(letters)) for letters in all_words(n))
         _a_infinity_image_cache[n] = cached
     return cached

@@ -4,16 +4,19 @@ Coefficients are exact Python integers; terms with coefficient zero are
 never stored.  An element is a plain dict keyed by the raw value sequence
 of each basis surjection, ``tuple[int, ...]``, so hashing and equality of
 terms run on tuples, in C.  ``Surjection`` objects appear only at the API
-boundary: ``terms()``, ``support()`` and the argument that
-``apply_linear`` passes to its map are rebuilt from the sequences, which
-are valid by construction.  Terms are sorted lexicographically whenever an
-ordering is visible (iteration, serialization, equality of string forms).
+boundary: ``terms()`` and ``support()`` rebuild them from the sequences,
+which are valid by construction, and so does ``apply_linear`` for the
+argument of its map, which is how the white/black insertions of
+``ainfty`` extend linearly.  Terms are sorted lexicographically whenever
+an ordering is visible (iteration, serialization, equality of string
+forms).
 
 Every sum in the package goes through one in-place update, ``_accumulate``.
 ``Element.sum`` streams ``(coeff, Element)`` parts through it; the operad
-kernels of Berger-Fresse (arXiv:math/0109158) feed it ``(sequence, sign)``
-pairs and wrap the finished dict with ``Element._trusted``, which skips
-validation.
+kernels of Berger-Fresse (arXiv:math/0109158), composition and the
+differential, feed it ``(sequence, sign)`` pairs straight from raw
+sequences and wrap the finished dict with ``Element._trusted``, which
+skips validation.
 """
 
 from __future__ import annotations

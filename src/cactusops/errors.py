@@ -55,7 +55,8 @@ class NotACactusError(CactusOpsError, ValueError):
 
 
 class ResourceBoundError(CactusOpsError, RuntimeError):
-    """An enumeration exceeded the configured sequence-length cap."""
+    """A request exceeds a size bound: the sequence-length cap of an
+    enumeration, or the term count of a structure map."""
 
 
 class ParseError(CactusOpsError, ValueError):

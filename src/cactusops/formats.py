@@ -14,6 +14,11 @@ signs and omits unit coefficients, so equal elements serialize equally.
 
 JSON documents carry a top-level {"format": "cactus-v1"} marker.
 
+Rejected input raises a ``CactusOpsError`` that names where it went wrong:
+``ParseError`` carries the line and column, and a term that is not a
+valid surjection keeps its validation error type with the term's
+position, "(line L, column C)" in text or "term i" in JSON, appended.
+
 Lobe trees render to graphviz DOT, to standalone SVG (one circle per
 lobe, children tangent to their parent at angles set by the attachment
 arc), or to an indented text outline.  Rendering is a deterministic
@@ -25,11 +30,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Union
+from typing import Iterable, Union
 
 from .cacti import LobeTree, lobe_tree
 from .elements import Element
-from .errors import ParseError
+from .errors import CactusOpsError, ParseError
 from .surjections import Surjection
 
 __all__ = [
@@ -100,7 +105,10 @@ def _parse_int(tokens: _Tokens) -> int:
     tok = tokens.take()
     if not _DIGITS.fullmatch(tok):
         raise ParseError(f"expected an integer, found {tok!r}", line, col)
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"integer of {len(tok)} digits is too long", line, col) from None
 
 
 def _parse_paren_sequence(tokens: _Tokens) -> tuple[int, ...]:
@@ -113,16 +121,27 @@ def _parse_paren_sequence(tokens: _Tokens) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _surjection(seq: Iterable[int], where: str) -> Surjection:
+    """Surjection(seq); a validation error keeps its type and gains ``where``."""
+    try:
+        return Surjection(seq)
+    except CactusOpsError as exc:
+        exc.args = (f"{exc} ({where})",)
+        raise
+
+
 def parse_surjection(text: str) -> Surjection:
     """Parse "(1,3,1,2)" or, when every value is a single digit, "1312"."""
+    tokens = _Tokens(text)
+    line, col = tokens.where()
+    where = f"line {line}, column {col}"
     stripped = text.strip()
     if _DIGITS.fullmatch(stripped):
-        return Surjection(tuple(int(ch) for ch in stripped))
-    tokens = _Tokens(text)
+        return _surjection(tuple(int(ch) for ch in stripped), where)
     seq = _parse_paren_sequence(tokens)
     if tokens.peek() is not None:
         raise ParseError(f"trailing input {tokens.peek()!r}", *tokens.where())
-    return Surjection(seq)
+    return _surjection(seq, where)
 
 
 def parse_element(text: str) -> Element:
@@ -145,8 +164,9 @@ def parse_element(text: str) -> Element:
         if tok is not None and _DIGITS.fullmatch(tok):
             coeff = _parse_int(tokens)
             tokens.expect("*")
+        line, col = tokens.where()
         seq = _parse_paren_sequence(tokens)
-        terms.append((Surjection(seq), sign * coeff))
+        terms.append((_surjection(seq, f"line {line}, column {col}"), sign * coeff))
     return Element(terms)
 
 
@@ -159,7 +179,10 @@ def element_to_json(a: Element) -> dict:
 
 def element_from_json(doc: Union[dict, str]) -> Element:
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
         raise ParseError("JSON element must be an object with a 'terms' list")
     fmt = doc.get("format", JSON_FORMAT)
@@ -174,7 +197,7 @@ def element_from_json(doc: Union[dict, str]) -> Element:
             raise ParseError(f"term {index}: 'coeff' must be an integer, got {coeff!r}")
         if not isinstance(seq, list):
             raise ParseError(f"term {index}: 'seq' must be a list, got {seq!r}")
-        terms.append((Surjection(seq), coeff))
+        terms.append((_surjection(seq, f"term {index}"), coeff))
     return Element(terms)
 
 

@@ -20,11 +20,19 @@ pairs, which ``compose_basis`` and ``compose`` add straight into the
 in-place accumulator of ``elements``, keyed by the raw sequence.  The
 relabelled outer blocks and their suffix parities depend only on the
 outer factor; ``compose`` visits the pairs outer-major, so a one-entry
-memo computes them once per outer term.
+memo computes them once per outer term.  The inner factor's values
+shifted onto the new lobes and its recurrence prefix depend only on the
+inner term and the lobe; ``compose`` builds them once per inner term and
+hands them to the kernel on the inner factor itself, so they are dropped
+when the call returns.
 
 The differential deletes one entry at a time; entries that are the only
 occurrence of their value are skipped, and deletions that would leave two
-equal adjacent entries are identified with zero.
+equal adjacent entries are identified with zero.  One generator,
+``_deletions``, yields the ``(sequence, sign)`` deletions of a raw
+sequence; ``boundary`` streams those of every term of an element, scaled
+by the term's coefficient, into one accumulator, and ``boundary_basis`` is
+the same stream for a single term.
 """
 
 from __future__ import annotations
@@ -74,6 +82,26 @@ def _outer_factor(vseq: Seq, t: int, n_inner: int) -> tuple[tuple[Seq, ...], tup
     return tuple(blocks), parities
 
 
+def _inner_factor(useq: Seq, t: int) -> tuple[Seq, list[int]]:
+    """The inner factor's share of every split of v o_t u: the values of u
+    raised onto lobes t.., and its recurrence prefix."""
+    return tuple(s + t - 1 for s in useq), recurrence_prefix(useq)
+
+
+class _Inner(Surjection):
+    """An inner term of one ``compose`` call with its ``_inner_factor`` at
+    lobe t, built once per inner term so that no basis pair recomputes it."""
+
+    __slots__ = ("lobe", "factor")
+
+    @classmethod
+    def _at(cls, seq: Seq, t: int, arity: int, degree: int) -> "_Inner":
+        obj = cls._unchecked(seq, arity, degree)
+        object.__setattr__(obj, "lobe", t)
+        object.__setattr__(obj, "factor", _inner_factor(seq, t))
+        return obj
+
+
 def composition_splits(v: Surjection, t: int, u: Surjection) -> Iterator[tuple[Seq, int]]:
     """All summands of v o_t u as ``(sequence, sign)`` pairs.
 
@@ -91,8 +119,10 @@ def composition_splits(v: Surjection, t: int, u: Surjection) -> Iterator[tuple[S
     useq = u.seq
     blocks, parities = _outer_factor(v.seq, t, u.arity)
     head, tails = blocks[0], blocks[1:]
-    uprefix = recurrence_prefix(useq)
-    shifted = tuple(s + t - 1 for s in useq)
+    if type(u) is _Inner and u.lobe == t:
+        shifted, uprefix = u.factor
+    else:
+        shifted, uprefix = _inner_factor(useq, t)
     last = len(useq) - 1
     # Breakpoints as 0-based positions of u: stretch p is u[c_p .. c_{p+1}].
     for mids in combinations_with_replacement(range(last + 1), len(tails) - 1):
@@ -121,7 +151,7 @@ def compose(a: Union[Element, Surjection], t: int, b: Union[Element, Surjection]
         return Element.zero()
     if not 1 <= t <= bideg_a[0]:
         raise OutOfRangeError(f"lobe {t} not in 1..{bideg_a[0]}")
-    inner = [(Surjection._unchecked(seq, *bideg_b), c) for seq, c in eb._terms.items()]
+    inner = [(_Inner._at(seq, t, *bideg_b), c) for seq, c in eb._terms.items()]
     data: dict[Seq, int] = {}
     for seq, c1 in ea._terms.items():
         u1 = Surjection._unchecked(seq, *bideg_a)
@@ -130,45 +160,55 @@ def compose(a: Union[Element, Surjection], t: int, b: Union[Element, Surjection]
     return Element._trusted(data)
 
 
-def boundary_basis(u: Surjection) -> Element:
-    """Signed sum of single-entry deletions of u.
+def _deletions(seq: Seq) -> Iterator[tuple[Seq, int]]:
+    """The nonzero single-entry deletions of seq, as ``(sequence, sign)`` pairs.
 
     A deletion is skipped when the entry is the only occurrence of its
     value and dropped when it would leave equal adjacent entries.  The
     sign exponent is the relative degree of the prefix up to the entry,
     or up to just past the penultimate occurrence when the entry is the
-    last occurrence of its value.
+    last occurrence of its value.  One forward pass carries the parity of
+    the prefix's relative degree, which grows by one at every entry whose
+    value recurs later, and per value that parity just past its latest
+    occurrence.
     """
-    seq = u.seq
-    size = len(seq)
-    prefix = recurrence_prefix(seq)
-
-    def deletions() -> Iterator[tuple[Seq, int]]:
-        prev_occurrence: dict[int, int] = {}
-        for i in range(1, size + 1):
-            v = seq[i - 1]
-            prev = prev_occurrence.get(v)
-            prev_occurrence[v] = i
-            if prefix[i] > prefix[i - 1]:  # entry recurs later
-                exponent = prefix[i - 1]
-            elif prev is None:
+    final = {v: i for i, v in enumerate(seq)}
+    end = len(seq) - 1
+    odd = 0
+    after: dict[int, int] = {}
+    for i, v in enumerate(seq):
+        if final[v] != i:  # entry recurs later
+            exponent = odd
+            odd ^= 1
+            after[v] = odd
+        else:
+            exponent = after.get(v)
+            if exponent is None:
                 continue  # only occurrence of its value
-            else:
-                exponent = prefix[prev]  # relative degree of u(1..prev+1)
-            if 2 <= i <= size - 1 and seq[i - 2] == seq[i]:
-                continue  # degenerate deletion counts as zero
-            yield seq[: i - 1] + seq[i:], -1 if exponent % 2 else 1
+        if 0 < i < end and seq[i - 1] == seq[i + 1]:
+            continue  # degenerate deletion counts as zero
+        yield seq[:i] + seq[i + 1 :], -1 if exponent else 1
 
+
+def boundary_basis(u: Surjection) -> Element:
+    """Signed sum of the single-entry deletions of u (see ``_deletions``)."""
     data: dict[Seq, int] = {}
-    _accumulate(data, deletions())
+    _accumulate(data, _deletions(u.seq))
     return Element._trusted(data)
 
 
 def boundary(a: Union[Element, Surjection]) -> Element:
-    """Linear extension of the basis differential; drops degree by one."""
+    """Linear extension of the basis differential; drops degree by one.
+
+    The deletions of every term, scaled by its coefficient, are added
+    into one dict as they are generated.
+    """
     ea = as_element(a)
     ea.bidegree()
-    return ea.apply_linear(boundary_basis)
+    data: dict[Seq, int] = {}
+    for seq, c in ea._terms.items():
+        _accumulate(data, _deletions(seq), c)
+    return Element._trusted(data)
 
 
 def check_operad_axioms(

@@ -16,6 +16,7 @@ from importlib import resources
 from typing import Callable, Iterable
 
 from .ainfty import (
+    _check_image_size,
     a_infinity_boundary_image,
     a_infinity_image,
     all_words,
@@ -201,6 +202,7 @@ def run_a2inf(cfg: SuiteConfig) -> list[VerificationReport]:
 
 
 def run_ainf(cfg: SuiteConfig) -> list[VerificationReport]:
+    _check_image_size(cfg.max_arity)  # before the lower arities are built
     cases = [
         equality_report(
             f"ainf[arity={n}]", boundary(a_infinity_image(n)), a_infinity_boundary_image(n)

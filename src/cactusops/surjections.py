@@ -51,7 +51,8 @@ class Surjection:
         n = max(values)
         seen = set(values)
         if len(seen) != n:
-            missing = min(set(range(1, n + 1)) - seen)
+            # Some value up to len(seen) + 1 is missing; n may be huge.
+            missing = next(v for v in range(1, n + 1) if v not in seen)
             raise NotSurjectiveError(f"value {missing} missing from {values}")
         object.__setattr__(self, "seq", values)
         object.__setattr__(self, "arity", n)

@@ -125,3 +125,29 @@ def naive_compose(vseq, t, useq):
         key = tuple(composite)
         result[key] = result.get(key, 0) + sign
     return {key: c for key, c in result.items() if c}
+
+
+def naive_boundary(seq):
+    """The differential of one surjection as a dict {sequence: coefficient}.
+
+    Every entry u(i) whose value occurs more than once is deleted in turn.
+    The sign is (-1)**e, where e is the relative degree of u(1..i) when the
+    value of u(i) occurs again later, and of u(1..j+1) when u(i) is the
+    last occurrence of its value and j the position of the occurrence just
+    before it.  A deletion that leaves two equal neighbours is zero.
+    """
+    result = {}
+    for i in range(1, len(seq) + 1):
+        value = seq[i - 1]
+        if list(seq).count(value) == 1:
+            continue
+        rest = tuple(seq[: i - 1]) + tuple(seq[i:])
+        if any(a == b for a, b in zip(rest, rest[1:])):
+            continue
+        if value in seq[i:]:
+            e = naive_relative_degree(seq, 1, i)
+        else:
+            j = max(p for p in range(1, i) if seq[p - 1] == value)
+            e = naive_relative_degree(seq, 1, j + 1)
+        result[rest] = result.get(rest, 0) + (-1) ** e
+    return {key: c for key, c in result.items() if c}

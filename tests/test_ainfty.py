@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cactusops import (
     Element,
     MaxValueNotUniqueError,
+    ResourceBoundError,
     Surjection,
     WordError,
     a_infinity_boundary_image,
@@ -26,6 +27,7 @@ from cactusops import (
     word_image,
 )
 
+from cactusops.ainfty import _MAX_IMAGE_TERMS, _check_image_size
 from conftest import eligible_cacti
 
 
@@ -128,6 +130,15 @@ class TestStructureImage:
             image = a_infinity_image(n)
             assert image.support() == prime_cacti(n)
             assert all(c in (1, -1) for _, c in image.terms())
+
+    def test_size_bound_admits_arity_ten_and_refuses_eleven(self):
+        # The bound is checked against 2 * (2n - 5)!! before any work.
+        assert 4_054_050 <= _MAX_IMAGE_TERMS < 68_918_850
+        _check_image_size(10)
+        with pytest.raises(ResourceBoundError, match=r"arity 11: .* 68918850 terms"):
+            a_infinity_image(11)
+        with pytest.raises(ResourceBoundError, match=r"arity 14: .* 632468286450 terms"):
+            a_infinity_image(14)
 
     def test_sign_lookup(self):
         assert a_infinity_image(3).coefficient(S(1, 3, 1, 2)) == 1

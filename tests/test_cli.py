@@ -54,6 +54,32 @@ class TestComputationCommands:
         assert code == 2
         assert "w" in err
 
+    def test_psi_above_size_bound_exits_two_before_work(self, capsys, monkeypatch):
+        # |psi_11| = 2 * 17!! = 68,918,850 terms is refused before any word image.
+        import cactusops.ainfty as ainfty_module
+
+        def no_work(*args):
+            raise AssertionError("work started before the size bound was checked")
+
+        monkeypatch.setattr(ainfty_module, "all_words", no_work)
+        code, out, err = run(capsys, "psi", "11")
+        assert code == 2
+        assert out == ""
+        assert "arity 11" in err and "68918850" in err
+
+    def test_verify_ainf_above_size_bound_exits_two_before_work(self, capsys, monkeypatch):
+        import cactusops.suites as suites_module
+
+        def no_work(*args):
+            raise AssertionError("work started before the size bound was checked")
+
+        monkeypatch.setattr(suites_module, "a_infinity_image", no_work)
+        monkeypatch.setattr(suites_module, "boundary", no_work)
+        code, out, err = run(capsys, "verify", "ainf", "--max-arity", "11")
+        assert code == 2
+        assert out == ""
+        assert "arity 11" in err and "68918850" in err
+
 
 class TestCactiListing:
     def test_with_degree(self, capsys):
@@ -148,8 +174,14 @@ class TestVerify:
         assert all(r["pass"] for r in doc["suites"][0]["reports"])
 
     def test_every_failure_witness_has_one_shape(self, capsys, monkeypatch):
-        true_boundary = operad_module.boundary_basis
-        monkeypatch.setattr(operad_module, "boundary_basis", lambda u: -true_boundary(u))
+        # Every differential, of a basis term or of a whole element, streams
+        # through the one per-sequence deletion generator; flip its signs.
+        true_deletions = operad_module._deletions
+        monkeypatch.setattr(
+            operad_module,
+            "_deletions",
+            lambda seq: ((w, -sign) for w, sign in true_deletions(seq)),
+        )
         code, out, _ = run(
             capsys, "verify", "all", "--json", "--max-arity", "4", "--samples", "20"
         )

@@ -1,12 +1,17 @@
+import json
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cactusops import (
+    CactusOpsError,
     DegenerateError,
     Element,
     NonPositiveError,
+    NotSurjectiveError,
     ParseError,
     Surjection,
     a_infinity_image,
@@ -19,7 +24,7 @@ from cactusops import (
     word_image,
 )
 
-from conftest import elements
+from conftest import SURJECTION_POOL, elements
 
 
 def S(*values):
@@ -101,6 +106,131 @@ class TestParseElement:
         for bad in ("", "+", "(1,2", "1,2)", "(1,2) junk", "2(1,2)", "*(1,2)"):
             with pytest.raises(ParseError):
                 parse_element(bad)
+
+
+# Value lists: a basis surjection, or small integers that may be degenerate,
+# not surjective or not positive.
+value_lists = st.one_of(
+    st.sampled_from(SURJECTION_POOL).map(lambda u: list(u.seq)),
+    st.lists(st.integers(0, 4), min_size=1, max_size=5),
+)
+
+
+@st.composite
+def element_texts(draw):
+    """Element text near the grammar: signed terms whose value lists may be
+    degenerate or not surjective, then at most one character edited."""
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["", "+", "-", "- "]),
+                st.sampled_from(["", "2*", "0*", "12 * "]),
+                value_lists,
+            ),
+            max_size=4,
+        )
+    )
+    text = " ".join(
+        f"{sign}{coeff}({','.join(map(str, values))})" for sign, coeff, values in terms
+    )
+    if draw(st.booleans()):
+        pos = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["", "x", "(", ")", ",", "*", "-", "\n", "²", "0", "7"]))
+        text = text[:pos] + edit + text[pos + draw(st.integers(0, 1)) :]
+    return text
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.floats(allow_nan=False), st.text(max_size=3)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=5), inner, max_size=4)
+    ),
+    max_leaves=6,
+)
+near_terms = st.fixed_dictionaries({"coeff": st.integers(-3, 3), "seq": value_lists})
+json_docs = st.one_of(
+    st.fixed_dictionaries(
+        {"terms": st.lists(near_terms, max_size=4)},
+        optional={"format": st.sampled_from(["cactus-v1", "cactus-v2", 1])},
+    ),
+    st.fixed_dictionaries(
+        {"terms": st.lists(st.one_of(near_terms, json_values), max_size=4)},
+        optional={"format": json_values},
+    ),
+    st.fixed_dictionaries(
+        {"terms": st.lists(st.fixed_dictionaries({"coeff": json_values, "seq": json_values}))}
+    ),
+    json_values,
+)
+
+
+def _assert_text_position(text, exc):
+    """The error message ends with a (line, column) that lies in the text."""
+    match = re.search(r"\(line (\d+), column (\d+)\)$", str(exc))
+    assert match, f"{type(exc).__name__} carries no position: {exc}"
+    assert 1 <= int(match[1]) <= text.count("\n") + 1 and int(match[2]) >= 1
+
+
+# A JSON error names the term it is at, or a line and column of the text.
+JSON_POSITION = re.compile(r"\bterm \d+\b|\(line \d+, column \d+\)$")
+
+
+class TestParserFuzz:
+    """Every input is accepted exactly or rejected by a CactusOpsError that
+    says where; no bare KeyError, TypeError or ValueError escapes."""
+
+    @given(st.one_of(element_texts(), st.text(max_size=24)))
+    @settings(max_examples=400)
+    def test_element_text_round_trips_or_is_rejected_with_position(self, text):
+        try:
+            a = parse_element(text)
+        except CactusOpsError as exc:
+            _assert_text_position(text, exc)
+        else:
+            assert parse_element(str(a)) == a
+
+    @given(json_docs)
+    @settings(max_examples=200)
+    def test_element_json_round_trips_or_is_rejected_with_position(self, doc):
+        try:
+            a = element_from_json(doc)
+        except CactusOpsError as exc:
+            assert JSON_POSITION.search(str(exc)), exc
+        else:
+            assert element_from_json(json.dumps(element_to_json(a))) == a
+
+    @given(st.one_of(st.text(max_size=30), json_docs.map(json.dumps)))
+    @settings(max_examples=150)
+    def test_json_text_round_trips_or_is_rejected_with_position(self, text):
+        try:
+            a = element_from_json(text)
+        except CactusOpsError as exc:
+            assert JSON_POSITION.search(str(exc)), exc
+        else:
+            assert element_from_json(json.dumps(element_to_json(a))) == a
+
+    def test_invalid_term_keeps_its_type_and_gains_its_position(self):
+        with pytest.raises(DegenerateError, match=r"\(line 2, column 3\)$"):
+            parse_element("(1,2)\n+ (1,1,2)")
+        with pytest.raises(DegenerateError, match=r"\(term 1\)$"):
+            element_from_json({"terms": [{"coeff": 1, "seq": [1]}, {"coeff": 1, "seq": [2, 2]}]})
+
+    def test_huge_values_and_integers_are_rejected_at_once(self):
+        # The missing value is found without building range(1, max + 1).
+        with pytest.raises(NotSurjectiveError, match="value 2 missing"):
+            parse_element("(1,99999999999999999999)")
+        with pytest.raises(ParseError, match=r"digits is too long \(line 1, column 2\)$"):
+            parse_element("+" + "9" * 5000 + "*(1)")
+        with pytest.raises(ParseError, match=r"\(line 1, column 2\)$"):
+            parse_element("(" + "7" * 5000 + ")")
+
+    def test_invalid_json_text_carries_line_and_column(self):
+        with pytest.raises(ParseError) as err:
+            element_from_json('{"terms":\n  [1,}')
+        assert (err.value.line, err.value.column) == (2, 6)
 
 
 class TestSerialize:

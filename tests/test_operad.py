@@ -8,6 +8,7 @@ from cactusops import (
     NotHomogeneousError,
     OutOfRangeError,
     Surjection,
+    a_infinity_image,
     boundary,
     boundary_basis,
     check_derivation,
@@ -19,7 +20,7 @@ from cactusops import (
 )
 
 from conftest import cacti, elements, surjections
-from oracles import brute_force_sequences, naive_compose
+from oracles import brute_force_sequences, naive_boundary, naive_compose
 
 
 def S(*values):
@@ -129,6 +130,44 @@ class TestBoundary:
                 for seq in brute_force_sequences(n, length):
                     u = Surjection(seq)
                     assert boundary(boundary_basis(u)) == Element.zero(), u
+
+    def test_basis_matches_definition_oracle(self):
+        # The full basis (level=None) at arity <= 4 and length <= 7.
+        count = 0
+        for n in range(1, 5):
+            for k in range(8 - n):
+                for u in enumerate_basis(n, k, level=None):
+                    got = {w.seq: c for w, c in boundary_basis(u).terms()}
+                    assert got == naive_boundary(u.seq), u
+                    count += 1
+        assert count == 3283
+
+    @staticmethod
+    def _naive_element_boundary(a):
+        total = {}
+        for u, c in a.terms():
+            for seq, sign in naive_boundary(u.seq).items():
+                total[seq] = total.get(seq, 0) + c * sign
+        return {seq: c for seq, c in total.items() if c}, total
+
+    def test_structure_maps_match_definition_oracle(self):
+        for n in (5, 6):
+            want, raw = self._naive_element_boundary(a_infinity_image(n))
+            assert {w.seq: c for w, c in boundary(a_infinity_image(n)).terms()} == want
+            assert len(want) < len(raw)  # deletions of different terms cancel
+
+    @given(elements(homogeneous=True, max_terms=6))
+    @settings(deadline=None)
+    def test_combinations_match_definition_oracle(self, a):
+        want, _ = self._naive_element_boundary(a)
+        assert {w.seq: c for w, c in boundary(a).terms()} == want
+
+    def test_cancelling_combination_matches_definition_oracle(self):
+        # d(d(u)) = 0 through cancellation across terms with coefficients +-c.
+        for u in (S(1, 2, 1, 2, 1), S(1, 2, 3, 1, 2, 3), S(2, 1, 2, 3, 1, 3)):
+            du = boundary_basis(u).scale(3)
+            want, raw = self._naive_element_boundary(du)
+            assert boundary(du) == Element.zero() and want == {} and raw, u
 
     @given(surjections)
     @settings(deadline=None)
