@@ -18,9 +18,14 @@ position j.  Summing word images over all words of one arity gives the
 arity-n component of the homotopy-associative structure whose binary part
 is the symmetrized product (1,2) + (2,1).
 
-Every sum here (the word images of one arity, the splice sums of the
-boundary images) is streamed into ``Element.sum``, which adds each part
-into one dict in place; no intermediate total is ever copied.
+One kernel, ``_insertion_half``, walks the raw terms of an element once
+and writes every signed insertion of one color into a dict.  Insertions
+never collide (see the kernel), so they are assigned, not summed; the
+same fact makes the word images of one arity partition the prime cacti,
+and since insertion is linear the structure map is built by recursion,
+psi_n = white(psi_{n-1}) + black(psi_{n-1}), without visiting the words.
+The splice sums of the boundary images do cancel, and are streamed into
+``Element.sum``, which adds each part into one dict in place.
 
 The support of the arity-n structure map is the set of prime cacti, so
 its size 2(2n-5)!! is known before any work; structure maps above
@@ -37,7 +42,7 @@ from .elements import Element, Seq, as_element
 from .errors import MaxValueNotUniqueError, OutOfRangeError, ResourceBoundError, WordError
 from .operad import boundary, compose
 from .reports import VerificationReport, sides_report
-from .surjections import Surjection, recurrence_prefix
+from .surjections import Surjection, _seq_str
 
 __all__ = [
     "all_words",
@@ -58,7 +63,7 @@ WHITE = "w"
 BLACK = "b"
 
 # The largest structure map built: psi_10 has 4,054,050 terms and takes
-# about 1.1 GB; psi_11 would have 68,918,850.
+# about 1 GB; psi_11 would have 68,918,850.
 _MAX_IMAGE_TERMS = 5_000_000
 
 _BASE = {WHITE: (2, 1), BLACK: (1, 2)}
@@ -77,42 +82,70 @@ def all_words(n: int) -> list[str]:
     return ["".join(p) for p in product("wb", repeat=n - 1)]
 
 
-def _top_position(u: Surjection) -> int:
-    positions = [p + 1 for p, v in enumerate(u.seq) if v == u.arity]
-    if len(positions) != 1:
+def _top_index(seq: Seq) -> int:
+    """0-based position of the top value of seq, which must occur once."""
+    n = max(seq)
+    top = seq.index(n)
+    if seq.count(n) != 1:
         raise MaxValueNotUniqueError(
-            f"top value {u.arity} occurs {len(positions)} times in {u}"
+            f"top value {n} occurs {seq.count(n)} times in {_seq_str(seq)}"
         )
-    return positions[0]
+    return top
 
 
-def _insertion_half(u: Surjection, before: bool) -> Element:
-    top = _top_position(u)
-    seq = u.seq
-    prefix = recurrence_prefix(seq)
-    k = u.degree
-    new = (u.arity + 1,)
-    positions = range(1, top) if before else range(top + 1, len(seq) + 1)
-    outer = 1 if before else -1
-    acc: dict[Seq, int] = {}
-    for j in positions:  # distinct positions give distinct terms
-        # The top-lobe insertion at j, as in ``insert_top_lobe``.
-        acc[seq[:j] + new + seq[j - 1 :]] = outer * (-1 if (k + prefix[j - 1]) % 2 else 1)
-    return Element._trusted(acc)
+def _insertion_half(data: dict[Seq, int], before: bool, out: dict[Seq, int]) -> None:
+    """Write the white (``before``) or black insertion sum of the element
+    ``data`` into ``out``, in one pass over its terms.
+
+    The insertion u~j of a term u of arity n and degree k carries
+    c * (-1)**(k + |u|_j), negated for black, with |u|_j the relative
+    degree of u(1..j), the number of positions before j whose value
+    recurs later: its parity is carried forward as j advances.
+    Each insertion is assigned, not added: u comes back from u~j by
+    deleting the unique top value n+1 and one of the two equal neighbours
+    it leaves, and a white term has n+1 before n, a black one after, so
+    no two insertions into one ``out`` share a sequence.  A collision
+    with a term already in ``out`` raises.
+    """
+    start = len(out)
+    made = 0
+    for seq, c in data.items():
+        top = _top_index(seq)
+        n = seq[top]
+        new = (n + 1,)
+        lo, hi = (0, top) if before else (top + 1, len(seq))
+        made += hi - lo
+        sign = c if (len(seq) - n) % 2 == (0 if before else 1) else -c
+        final = {v: i for i, v in enumerate(seq)}
+        for i, v in enumerate(seq):
+            if i >= lo:
+                if i == hi:
+                    break
+                out[seq[: i + 1] + new + seq[i:]] = sign
+            if final[v] != i:  # entry recurs later
+                sign = -sign
+    if len(out) != start + made:
+        raise RuntimeError(
+            f"{made} insertions added {len(out) - start} terms: two insertions coincide"
+        )
+
+
+def _insertion(a: Union[Element, Surjection], before: bool) -> Element:
+    ea = as_element(a)
+    ea.bidegree()
+    out: dict[Seq, int] = {}
+    _insertion_half(ea._terms, before, out)
+    return Element._trusted(out)
 
 
 def white_op(a: Union[Element, Surjection]) -> Element:
     """Signed top-lobe insertions before the top lobe, extended linearly."""
-    ea = as_element(a)
-    ea.bidegree()
-    return ea.apply_linear(lambda u: _insertion_half(u, before=True))
+    return _insertion(a, before=True)
 
 
 def black_op(a: Union[Element, Surjection]) -> Element:
     """Signed top-lobe insertions after the top lobe, extended linearly."""
-    ea = as_element(a)
-    ea.bidegree()
-    return ea.apply_linear(lambda u: _insertion_half(u, before=False))
+    return _insertion(a, before=False)
 
 
 _word_image_cache: dict[str, Element] = {}
@@ -152,14 +185,25 @@ _a_infinity_image_cache: dict[int, Element] = {}
 def a_infinity_image(n: int) -> Element:
     """Arity-n structure map: the sum of word images over all arity-n words.
 
-    Memoized like ``word_image``.  Raises ResourceBoundError when the
-    map would have more than ``_MAX_IMAGE_TERMS`` terms.
+    Insertion is linear and every arity-n word is an arity-(n-1) word
+    followed by 'w' or 'b', so psi_n = white(psi_{n-1}) + black(psi_{n-1}),
+    built from psi_2 = (1,2) + (2,1) by two kernel passes per arity.
+    Memoized like ``word_image``.  Raises ResourceBoundError when the map
+    would have more than ``_MAX_IMAGE_TERMS`` terms.
     """
     cached = _a_infinity_image_cache.get(n)
     if cached is None:
+        if n < 2:
+            raise ValueError(f"arity {n} has no generator words")
         _check_image_size(n)
-        cached = Element.sum((1, word_image(letters)) for letters in all_words(n))
-        _a_infinity_image_cache[n] = cached
+        if n == 2:
+            data = {_BASE[WHITE]: 1, _BASE[BLACK]: 1}
+        else:
+            previous = a_infinity_image(n - 1)._terms
+            data = {}
+            _insertion_half(previous, True, data)
+            _insertion_half(previous, False, data)
+        cached = _a_infinity_image_cache[n] = Element._trusted(data)
     return cached
 
 
@@ -233,7 +277,7 @@ def check_top_insertion_identities(u: Surjection) -> VerificationReport:
 
     u must be a cactus whose top value occurs exactly once.
     """
-    _top_position(u)  # eligibility
+    _top_index(u.seq)  # eligibility
     n, k = u.arity, u.degree
     sign = -1 if k % 2 else 1
     eu = as_element(u)
@@ -267,8 +311,8 @@ def check_insertion_composition(
     up to the sign (-1)**l (l the degree of u2); for i = p an extra term
     inserts into the inner factor.  Both colors are checked.
     """
-    _top_position(u1)
-    _top_position(u2)
+    _top_index(u1.seq)
+    _top_index(u2.seq)
     p = u1.arity
     ell = u2.degree
     if not 1 <= i <= p:

@@ -6,17 +6,19 @@ of each basis surjection, ``tuple[int, ...]``, so hashing and equality of
 terms run on tuples, in C.  ``Surjection`` objects appear only at the API
 boundary: ``terms()`` and ``support()`` rebuild them from the sequences,
 which are valid by construction, and so does ``apply_linear`` for the
-argument of its map, which is how the white/black insertions of
-``ainfty`` extend linearly.  Terms are sorted lexicographically whenever
-an ordering is visible (iteration, serialization, equality of string
-forms).
+argument of a basis-level map.  Terms are sorted lexicographically
+whenever an ordering is visible (iteration, serialization, equality of
+string forms); the string form sorts by ``bytes`` keys, which order like
+the tuples while every value is below 256.
 
 Every sum in the package goes through one in-place update, ``_accumulate``.
 ``Element.sum`` streams ``(coeff, Element)`` parts through it; the operad
 kernels of Berger-Fresse (arXiv:math/0109158), composition and the
 differential, feed it ``(sequence, sign)`` pairs straight from raw
 sequences and wrap the finished dict with ``Element._trusted``, which
-skips validation.
+skips validation.  The white/black insertions of ``ainfty`` never produce
+two equal terms, so their kernel writes its dict by plain assignment and
+wraps it the same way.
 """
 
 from __future__ import annotations
@@ -179,14 +181,20 @@ class Element:
         return Element.sum((c, _tagged(f, _basis(seq))) for seq, c in self._terms.items())
 
     def __str__(self) -> str:
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
+        try:
+            # Byte strings compare like the tuples when every value is below 256.
+            order = sorted(terms, key=bytes)
+        except ValueError:  # a value of 256 or more
+            order = sorted(terms)
         parts = []
-        for seq, c in sorted(self._terms.items()):
+        for seq in order:
+            c = terms[seq]
             sign = "+" if c > 0 else "-"
-            mag = abs(c)
             body = _seq_str(seq)
-            parts.append(f"{sign}{body}" if mag == 1 else f"{sign}{mag}*{body}")
+            parts.append(sign + body if c == 1 or c == -1 else f"{sign}{abs(c)}*{body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:

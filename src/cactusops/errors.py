@@ -60,10 +60,14 @@ class ResourceBoundError(CactusOpsError, RuntimeError):
 
 
 class ParseError(CactusOpsError, ValueError):
-    """Malformed textual input.  Carries 1-based ``line`` and ``column``."""
+    """Malformed input.  Errors in text carry its 1-based ``line`` and
+    ``column``, which the message ends with; errors about a JSON object,
+    which has no position, leave both None."""
 
-    def __init__(self, message, line=1, column=1):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message, line=None, column=None):
+        if line is not None:
+            message = f"{message} (line {line}, column {column})"
+        super().__init__(message)
         self.line = line
         self.column = column
 

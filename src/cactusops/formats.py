@@ -15,9 +15,12 @@ signs and omits unit coefficients, so equal elements serialize equally.
 JSON documents carry a top-level {"format": "cactus-v1"} marker.
 
 Rejected input raises a ``CactusOpsError`` that names where it went wrong:
-``ParseError`` carries the line and column, and a term that is not a
-valid surjection keeps its validation error type with the term's
-position, "(line L, column C)" in text or "term i" in JSON, appended.
+a ``ParseError`` in text (element text or JSON text that does not decode)
+carries the line and column, one in a JSON object names the term or the
+top-level key, and a term that is not a valid surjection keeps its
+validation error type with the term's position, "(line L, column C)" in
+text or "term i" in JSON, appended.  A long token is quoted by its first
+characters and its length.
 
 Lobe trees render to graphviz DOT, to standalone SVG (one circle per
 lobe, children tangent to their parent at angles set by the attachment
@@ -55,6 +58,15 @@ STROKE_WIDTH = 2.0
 # Only ASCII digits make numbers; any other digit character is a parse error.
 _DIGITS = re.compile(r"[0-9]+")
 _TOKEN = re.compile(r"[+\-*(),]|[0-9]+|\s+|.", re.DOTALL)
+# A longer token is quoted in an error by this many characters and its length.
+_QUOTE_MAX = 20
+
+
+def _quote(tok: str | None) -> str:
+    """repr(tok), cut to its first characters and its length when long."""
+    if tok is None or len(tok) <= _QUOTE_MAX:
+        return repr(tok)
+    return f"{tok[:_QUOTE_MAX]!r}... ({len(tok)} characters)"
 
 
 class _Tokens:
@@ -96,7 +108,7 @@ class _Tokens:
         line, col = self.where()
         tok = self.peek()
         if tok != want:
-            raise ParseError(f"expected {want!r}, found {tok!r}", line, col)
+            raise ParseError(f"expected {want!r}, found {_quote(tok)}", line, col)
         self.pos += 1
 
 
@@ -104,7 +116,7 @@ def _parse_int(tokens: _Tokens) -> int:
     line, col = tokens.where()
     tok = tokens.take()
     if not _DIGITS.fullmatch(tok):
-        raise ParseError(f"expected an integer, found {tok!r}", line, col)
+        raise ParseError(f"expected an integer, found {_quote(tok)}", line, col)
     try:
         return int(tok)
     except ValueError:  # more digits than int() converts
@@ -140,7 +152,7 @@ def parse_surjection(text: str) -> Surjection:
         return _surjection(tuple(int(ch) for ch in stripped), where)
     seq = _parse_paren_sequence(tokens)
     if tokens.peek() is not None:
-        raise ParseError(f"trailing input {tokens.peek()!r}", *tokens.where())
+        raise ParseError(f"trailing input {_quote(tokens.peek())}", *tokens.where())
     return _surjection(seq, where)
 
 
@@ -152,7 +164,7 @@ def parse_element(text: str) -> Element:
     if tokens.peek() == "0":
         tokens.take()
         if tokens.peek() is not None:
-            raise ParseError(f"trailing input {tokens.peek()!r}", *tokens.where())
+            raise ParseError(f"trailing input {_quote(tokens.peek())}", *tokens.where())
         return Element.zero()
     terms: list[tuple[Surjection, int]] = []
     while tokens.peek() is not None:
@@ -187,7 +199,7 @@ def element_from_json(doc: Union[dict, str]) -> Element:
         raise ParseError("JSON element must be an object with a 'terms' list")
     fmt = doc.get("format", JSON_FORMAT)
     if fmt != JSON_FORMAT:
-        raise ParseError(f"unsupported format {fmt!r}")
+        raise ParseError(f"'format' must be {JSON_FORMAT!r}, got {fmt!r}")
     terms = []
     for index, entry in enumerate(doc["terms"]):
         if not isinstance(entry, dict):

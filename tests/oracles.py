@@ -151,3 +151,27 @@ def naive_boundary(seq):
             e = naive_relative_degree(seq, 1, j + 1)
         result[rest] = result.get(rest, 0) + (-1) ** e
     return {key: c for key, c in result.items() if c}
+
+
+def naive_insertion(terms, before):
+    """The white (before=True) or black insertion sum of {sequence: coefficient}.
+
+    For a term u of arity n and degree k whose top value n occurs once, at
+    position i, u~j replaces the entry u(j) by u(j), n+1, u(j).  The white
+    sum runs over j < i with sign (-1)**(k + e), the black sum over j > i
+    with sign -(-1)**(k + e), where e is the relative degree of u(1..j).
+    """
+    result = {}
+    for seq, coeff in terms.items():
+        seq = list(seq)
+        n = max(seq)
+        assert seq.count(n) == 1, seq
+        k = len(seq) - n
+        i = seq.index(n) + 1
+        for j in range(1, i) if before else range(i + 1, len(seq) + 1):
+            grown = tuple(seq[: j - 1] + [seq[j - 1], n + 1, seq[j - 1]] + seq[j:])
+            sign = (-1) ** (k + naive_relative_degree(seq, 1, j))
+            if not before:
+                sign = -sign
+            result[grown] = result.get(grown, 0) + coeff * sign
+    return {key: c for key, c in result.items() if c}

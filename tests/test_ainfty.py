@@ -27,8 +27,9 @@ from cactusops import (
     word_image,
 )
 
-from cactusops.ainfty import _MAX_IMAGE_TERMS, _check_image_size
-from conftest import eligible_cacti
+from cactusops.ainfty import _MAX_IMAGE_TERMS, _check_image_size, _insertion_half
+from conftest import ELIGIBLE_POOL, eligible_cacti, elements
+from oracles import naive_insertion
 
 
 def S(*values):
@@ -47,6 +48,12 @@ def golden_rows():
         yield row["word"], Element(
             [(Surjection(tuple(t["seq"])), t["coeff"]) for t in row["terms"]]
         )
+
+
+def assert_insertions_match_oracle(a):
+    terms = {u.seq: c for u, c in a.terms()}
+    for op, before in ((white_op, True), (black_op, False)):
+        assert {w.seq: c for w, c in op(a).terms()} == naive_insertion(terms, before)
 
 
 class TestWords:
@@ -76,6 +83,26 @@ class TestInsertionOps:
     def test_requires_unique_top_value(self):
         with pytest.raises(MaxValueNotUniqueError, match=r"\(2,1,2\)"):
             white_op(E(2, 1, 2))
+
+    def test_matches_oracle_on_each_bidegree(self):
+        # Every eligible cactus of one bidegree, with distinct non-unit coefficients.
+        by_bidegree = {}
+        for u in ELIGIBLE_POOL:
+            by_bidegree.setdefault((u.arity, u.degree), []).append(u)
+        for pool in by_bidegree.values():
+            assert_insertions_match_oracle(
+                Element([(u, (-1) ** c * (c + 2)) for c, u in enumerate(pool)])
+            )
+
+    @given(elements(pool=ELIGIBLE_POOL, max_terms=6, homogeneous=True))
+    def test_matches_oracle_on_sampled_elements(self, a):
+        assert_insertions_match_oracle(a)
+
+    def test_colliding_insertion_raises(self):
+        # An insertion that lands on a term already written is refused.
+        out = {(1, 3, 1, 2): 5}
+        with pytest.raises(RuntimeError, match="coincide"):
+            _insertion_half({(1, 2): 1}, True, out)
 
     @given(eligible_cacti)
     def test_new_lobe_sits_on_expected_side(self, u):
@@ -124,6 +151,17 @@ class TestStructureImage:
             + E(2, 1, 4, 1, 3, 1)
         )
         assert a_infinity_image(4) == expected
+
+    def test_recursion_equals_sum_of_word_images(self):
+        for n in range(2, 9):
+            words = all_words(n)
+            assert Element.sum((1, word_image(w)) for w in words) == a_infinity_image(n), n
+
+    def test_word_images_have_disjoint_supports(self):
+        for n in range(2, 9):
+            supports = [set(u.seq for u in word_image(w).support()) for w in all_words(n)]
+            union = set().union(*supports)
+            assert len(union) == sum(map(len, supports)), n
 
     def test_support_is_prime_basis(self):
         for n in range(2, 7):

@@ -55,13 +55,13 @@ class TestComputationCommands:
         assert "w" in err
 
     def test_psi_above_size_bound_exits_two_before_work(self, capsys, monkeypatch):
-        # |psi_11| = 2 * 17!! = 68,918,850 terms is refused before any word image.
+        # |psi_11| = 2 * 17!! = 68,918,850 terms is refused before any insertion.
         import cactusops.ainfty as ainfty_module
 
         def no_work(*args):
             raise AssertionError("work started before the size bound was checked")
 
-        monkeypatch.setattr(ainfty_module, "all_words", no_work)
+        monkeypatch.setattr(ainfty_module, "_insertion_half", no_work)
         code, out, err = run(capsys, "psi", "11")
         assert code == 2
         assert out == ""

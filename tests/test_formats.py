@@ -174,8 +174,9 @@ def _assert_text_position(text, exc):
     assert 1 <= int(match[1]) <= text.count("\n") + 1 and int(match[2]) >= 1
 
 
-# A JSON error names the term it is at, or a line and column of the text.
-JSON_POSITION = re.compile(r"\bterm \d+\b|\(line \d+, column \d+\)$")
+# A JSON error names the term or the top-level key it is at, or a line and
+# column of the text.
+JSON_POSITION = re.compile(r"\bterm \d+\b|'(terms|format)'|\(line \d+, column \d+\)$")
 
 
 class TestParserFuzz:
@@ -231,6 +232,34 @@ class TestParserFuzz:
         with pytest.raises(ParseError) as err:
             element_from_json('{"terms":\n  [1,}')
         assert (err.value.line, err.value.column) == (2, 6)
+        assert str(err.value).endswith("(line 2, column 6)")
+
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ({"terms": [{"coeff": 1.5, "seq": [1, 2]}]}, "term 0"),
+            ({"terms": [{"coeff": 1, "seq": [1]}, 7]}, "term 1"),
+            ({"terms": {}}, "'terms'"),
+            ({"format": "cactus-v2", "terms": []}, "'format'"),
+        ],
+    )
+    def test_errors_about_a_json_object_carry_no_position(self, doc, where):
+        # A JSON object has no line or column; the error names the term or key.
+        for given_doc in (doc, json.dumps(doc)):
+            with pytest.raises(ParseError) as err:
+                element_from_json(given_doc)
+            assert (err.value.line, err.value.column) == (None, None)
+            assert where in str(err.value) and "line" not in str(err.value)
+
+    def test_long_token_is_quoted_by_a_prefix_and_its_length(self):
+        with pytest.raises(ParseError) as err:
+            parse_element("+2*" + "9" * 5000 + "*(1)")
+        message = str(err.value)
+        assert len(message) < 200
+        assert "5000 characters" in message and message.endswith("(line 1, column 4)")
+        assert (err.value.line, err.value.column) == (1, 4)
+        with pytest.raises(ParseError, match=r"trailing input '1{20}'\.\.\. \(300 characters\)"):
+            parse_element("0 " + "1" * 300)
 
 
 class TestSerialize:
@@ -245,6 +274,16 @@ class TestSerialize:
 
     def test_coefficients_spelled_only_when_not_unit(self):
         assert str(E(1, 2).scale(2) - E(2, 1)) == "+2*(1,2) -(2,1)"
+
+    def test_values_of_256_and_more_print_in_tuple_order(self):
+        # Values past the digit table, and keys that bytes() cannot hold.
+        big = S(*range(1, 301))
+        a = Element([(S(2, 1), -3), (big, 1)])
+        big_text = "(" + ",".join(map(str, big.seq)) + ")"
+        assert str(big) == big_text
+        assert str(a) == "+" + big_text + " -3*(2,1)"
+        assert parse_element(str(a)) == a
+        assert parse_surjection(str(big)) == big
 
     @given(elements())
     def test_round_trip(self, a):
