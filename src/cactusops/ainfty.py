@@ -24,6 +24,7 @@ never collide (see the kernel), so they are assigned, not summed; the
 same fact makes the word images of one arity partition the prime cacti,
 and since insertion is linear the structure map is built by recursion,
 psi_n = white(psi_{n-1}) + black(psi_{n-1}), without visiting the words.
+Word images and structure maps are memoized with ``functools.cache``.
 The splice sums of the boundary images do cancel, and are streamed into
 ``Element.sum``, which adds each part into one dict in place.
 
@@ -34,12 +35,13 @@ its size 2(2n-5)!! is known before any work; structure maps above
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import Iterator, Union
 
 from .cacti import prime_cacti_count
 from .elements import Element, Seq, as_element
-from .errors import MaxValueNotUniqueError, OutOfRangeError, ResourceBoundError, WordError
+from .errors import MaxValueNotUniqueError, OutOfRangeError, ResourceBoundError, WordError, _quote
 from .operad import boundary, compose
 from .reports import VerificationReport, sides_report
 from .surjections import Surjection, _seq_str
@@ -50,7 +52,6 @@ __all__ = [
     "black_op",
     "word_image",
     "a_infinity_image",
-    "splice",
     "splice_decompositions",
     "word_boundary_image",
     "a_infinity_boundary_image",
@@ -71,7 +72,7 @@ _BASE = {WHITE: (2, 1), BLACK: (1, 2)}
 
 def _letters(letters: str) -> str:
     if not letters or any(ch not in "wb" for ch in letters):
-        raise WordError(f"word {letters!r} must be a nonempty string over 'w'/'b'")
+        raise WordError(f"word {_quote(letters)} must be a nonempty string over 'w'/'b'")
     return letters
 
 
@@ -88,7 +89,7 @@ def _top_index(seq: Seq) -> int:
     top = seq.index(n)
     if seq.count(n) != 1:
         raise MaxValueNotUniqueError(
-            f"top value {n} occurs {seq.count(n)} times in {_seq_str(seq)}"
+            f"top value {n} occurs {seq.count(n)} times in {_quote(seq, _seq_str)}"
         )
     return top
 
@@ -148,26 +149,18 @@ def black_op(a: Union[Element, Surjection]) -> Element:
     return _insertion(a, before=False)
 
 
-_word_image_cache: dict[str, Element] = {}
-
-
+@cache
 def word_image(word: str) -> Element:
     """The cactus chain of a word: fold white_op/black_op over its letters.
 
-    Memoized; values are immutable and the fill is idempotent, so the
-    cache is safe to share between concurrent readers.
+    Memoized with ``functools.cache``; values are immutable, so they are
+    shared by every caller.  ``word_image.cache_clear()`` frees them.
     """
     letters = _letters(word)
-    cached = _word_image_cache.get(letters)
-    if cached is not None:
-        return cached
     if len(letters) == 1:
-        result = Element.single(Surjection(_BASE[letters]))
-    else:
-        body = word_image(letters[:-1])
-        result = white_op(body) if letters[-1] == WHITE else black_op(body)
-    _word_image_cache[letters] = result
-    return result
+        return Element.single(Surjection(_BASE[letters]))
+    body = word_image(letters[:-1])
+    return white_op(body) if letters[-1] == WHITE else black_op(body)
 
 
 def _check_image_size(n: int) -> None:
@@ -179,47 +172,33 @@ def _check_image_size(n: int) -> None:
         )
 
 
-_a_infinity_image_cache: dict[int, Element] = {}
-
-
+@cache
 def a_infinity_image(n: int) -> Element:
     """Arity-n structure map: the sum of word images over all arity-n words.
 
     Insertion is linear and every arity-n word is an arity-(n-1) word
     followed by 'w' or 'b', so psi_n = white(psi_{n-1}) + black(psi_{n-1}),
     built from psi_2 = (1,2) + (2,1) by two kernel passes per arity.
-    Memoized like ``word_image``.  Raises ResourceBoundError when the map
-    would have more than ``_MAX_IMAGE_TERMS`` terms.
+    Memoized with ``functools.cache`` like ``word_image``, so every psi_k
+    up to n stays until ``a_infinity_image.cache_clear()``.  Raises
+    ResourceBoundError, before any work, when the map would have more than
+    ``_MAX_IMAGE_TERMS`` terms.
     """
-    cached = _a_infinity_image_cache.get(n)
-    if cached is None:
-        if n < 2:
-            raise ValueError(f"arity {n} has no generator words")
-        _check_image_size(n)
-        if n == 2:
-            data = {_BASE[WHITE]: 1, _BASE[BLACK]: 1}
-        else:
-            previous = a_infinity_image(n - 1)._terms
-            data = {}
-            _insertion_half(previous, True, data)
-            _insertion_half(previous, False, data)
-        cached = _a_infinity_image_cache[n] = Element._trusted(data)
-    return cached
-
-
-def splice(outer: str, slot: int, inner: str) -> str:
-    """Substitute the inner word into slot i of the outer word."""
-    outer = _letters(outer)
-    inner = _letters(inner)
-    p = len(outer) + 1
-    if not 1 <= slot <= p:
-        raise OutOfRangeError(f"slot {slot} not in 1..{p}")
-    return outer[: slot - 1] + inner + outer[slot - 1 :]
+    if n < 2:
+        raise ValueError(f"arity {n} has no generator words")
+    _check_image_size(n)
+    if n == 2:
+        return Element._trusted({_BASE[WHITE]: 1, _BASE[BLACK]: 1})
+    previous = a_infinity_image(n - 1)._terms
+    data: dict[Seq, int] = {}
+    _insertion_half(previous, True, data)
+    _insertion_half(previous, False, data)
+    return Element._trusted(data)
 
 
 def splice_decompositions(word: str) -> Iterator[tuple[str, str, int]]:
-    """All ``(outer, inner, slot)`` with splice(outer, slot, inner) == word,
-    both factors of arity >= 2."""
+    """All ``(outer, inner, slot)`` such that putting the inner word into
+    that slot of the outer word spells word, both factors of arity >= 2."""
     letters = _letters(word)
     n = len(letters) + 1
     for p in range(2, n):

@@ -36,7 +36,6 @@ __all__ = [
     "is_cactus",
     "LobeTree",
     "lobe_tree",
-    "flatten_lobe_tree",
     "enumerate_basis",
     "iter_basis",
     "prime_cacti",
@@ -112,20 +111,6 @@ class LobeTree:
         return [child for slot in self.slots for child in slot]
 
 
-class _TreeBuilder:
-    __slots__ = ("label", "slots")
-
-    def __init__(self, label: int):
-        self.label = label
-        self.slots: list[list["_TreeBuilder"]] = [[]]
-
-    def freeze(self) -> LobeTree:
-        return LobeTree(
-            label=self.label,
-            slots=tuple(tuple(c.freeze() for c in slot) for slot in self.slots),
-        )
-
-
 def lobe_tree(u: Surjection) -> LobeTree:
     """The planar lobe tree whose boundary traversal spells u.
 
@@ -140,36 +125,25 @@ def lobe_tree(u: Surjection) -> LobeTree:
             witness=positions,
         )
     seq = u.seq
-    builders: dict[int, _TreeBuilder] = {}
+    slots: dict[int, list[list[int]]] = {}  # per lobe, its child labels per arc
     for p, v in enumerate(seq):
-        if v in builders:
-            builders[v].slots.append([])
+        if v in slots:
+            slots[v].append([])
         else:
-            node = _TreeBuilder(v)
-            builders[v] = node
+            slots[v] = [[]]
             if p > 0:
-                builders[seq[p - 1]].slots[-1].append(node)
-    return builders[seq[0]].freeze()
+                slots[seq[p - 1]][-1].append(v)
+
+    def build(v: int) -> LobeTree:
+        return LobeTree(v, tuple(tuple(map(build, slot)) for slot in slots[v]))
+
+    return build(seq[0])
 
 
-def flatten_lobe_tree(tree: LobeTree) -> Surjection:
-    """Anticlockwise boundary traversal of the tree."""
-    out: list[int] = []
-
-    def walk(node: LobeTree) -> None:
-        for slot in node.slots:
-            out.append(node.label)
-            for child in slot:
-                walk(child)
-
-    walk(tree)
-    return Surjection(out)
-
-
-def _basis_size(n: int, k: int, level: Optional[int], max_len: Optional[int]) -> int:
+def _basis_size(n: int, k: int, level: Optional[int]) -> int:
     if n < 1 or k < 0 or (level is not None and level < 1):
         raise ValueError(f"need arity >= 1, degree >= 0, level >= 1; got {n}, {k}, {level}")
-    cap = length_cap() if max_len is None else max_len
+    cap = length_cap()
     size = n + k
     if size > cap:
         raise ResourceBoundError(f"length {size} exceeds cap {cap}")
@@ -244,9 +218,7 @@ def _sequences(n: int, size: int, level: Optional[int]) -> Iterator[tuple[int, .
         yield from map(itemgetter(*(v - 1 for v in shape)), permutations(values))
 
 
-def iter_basis(
-    n: int, k: int, level: Optional[int] = 2, max_len: Optional[int] = None
-) -> Iterator[Surjection]:
+def iter_basis(n: int, k: int, level: Optional[int] = 2) -> Iterator[Surjection]:
     """Lazily, the arity-n, degree-k surjections within a filtration stage.
 
     The order is shape-major and **not** lexicographic: each shape (values
@@ -256,13 +228,11 @@ def iter_basis(
     for n < 1, k < 0 or level < 1, and ResourceBoundError when n + k
     exceeds the length cap.  ``level=None`` enumerates the full basis.
     """
-    size = _basis_size(n, k, level, max_len)
+    size = _basis_size(n, k, level)
     return (Surjection._unchecked(seq, n, k) for seq in _sequences(n, size, level))
 
 
-def enumerate_basis(
-    n: int, k: int, level: Optional[int] = 2, max_len: Optional[int] = None
-) -> list[Surjection]:
+def enumerate_basis(n: int, k: int, level: Optional[int] = 2) -> list[Surjection]:
     """All arity-n, degree-k surjections within a filtration stage, sorted.
 
     The same elements as ``iter_basis``, in lexicographic order; the same
@@ -271,7 +241,7 @@ def enumerate_basis(
     sequence is the relabelling of exactly one shape (rename its values by
     order of first appearance), so shapes times permutations are the basis.
     """
-    size = _basis_size(n, k, level, max_len)
+    size = _basis_size(n, k, level)
     out: list = list(_sequences(n, size, level))
     out.sort()
     for i, seq in enumerate(out):

@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Exit codes: 0 success (or all checks verified), 1 verification failure,
-2 usage or parse error.
+2 usage, parse or range error, resource bound, or a file that cannot be written.
 """
 
 from __future__ import annotations
@@ -124,8 +124,12 @@ def cmd_cacti_list(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     text = render_lobe_tree(parse_surjection(args.surjection), args.format)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:  # exit 1 would read as a failed check
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

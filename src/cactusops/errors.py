@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages quote
+long values."""
 
 __all__ = [
     "CactusOpsError",
@@ -13,6 +14,20 @@ __all__ = [
     "ParseError",
     "WordError",
 ]
+
+
+# A longer string or sequence is quoted in a message by this many
+# characters or entries and its length.
+_QUOTE_MAX = 20
+
+
+def _quote(value, show=repr) -> str:
+    """show(value), cut to its first part and its length when value is a
+    string or sequence longer than ``_QUOTE_MAX``."""
+    if not isinstance(value, (str, tuple, list)) or len(value) <= _QUOTE_MAX:
+        return show(value)
+    unit = "characters" if isinstance(value, str) else "entries"
+    return f"{show(value[:_QUOTE_MAX])}... ({len(value)} {unit})"
 
 
 class CactusOpsError(Exception):

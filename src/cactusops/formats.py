@@ -19,8 +19,8 @@ a ``ParseError`` in text (element text or JSON text that does not decode)
 carries the line and column, one in a JSON object names the term or the
 top-level key, and a term that is not a valid surjection keeps its
 validation error type with the term's position, "(line L, column C)" in
-text or "term i" in JSON, appended.  A long token is quoted by its first
-characters and its length.
+text or "term i" in JSON, appended.  A long token or value is quoted by
+its first characters or entries and its length (``errors._quote``).
 
 Lobe trees render to graphviz DOT, to standalone SVG (one circle per
 lobe, children tangent to their parent at angles set by the attachment
@@ -37,7 +37,7 @@ from typing import Iterable, Union
 
 from .cacti import LobeTree, lobe_tree
 from .elements import Element
-from .errors import CactusOpsError, ParseError
+from .errors import CactusOpsError, ParseError, _quote
 from .surjections import Surjection
 
 __all__ = [
@@ -58,15 +58,6 @@ STROKE_WIDTH = 2.0
 # Only ASCII digits make numbers; any other digit character is a parse error.
 _DIGITS = re.compile(r"[0-9]+")
 _TOKEN = re.compile(r"[+\-*(),]|[0-9]+|\s+|.", re.DOTALL)
-# A longer token is quoted in an error by this many characters and its length.
-_QUOTE_MAX = 20
-
-
-def _quote(tok: str | None) -> str:
-    """repr(tok), cut to its first characters and its length when long."""
-    if tok is None or len(tok) <= _QUOTE_MAX:
-        return repr(tok)
-    return f"{tok[:_QUOTE_MAX]!r}... ({len(tok)} characters)"
 
 
 class _Tokens:
@@ -199,16 +190,16 @@ def element_from_json(doc: Union[dict, str]) -> Element:
         raise ParseError("JSON element must be an object with a 'terms' list")
     fmt = doc.get("format", JSON_FORMAT)
     if fmt != JSON_FORMAT:
-        raise ParseError(f"'format' must be {JSON_FORMAT!r}, got {fmt!r}")
+        raise ParseError(f"'format' must be {JSON_FORMAT!r}, got {_quote(fmt)}")
     terms = []
     for index, entry in enumerate(doc["terms"]):
         if not isinstance(entry, dict):
             raise ParseError(f"term {index} must be an object with 'coeff' and 'seq'")
         coeff, seq = entry.get("coeff"), entry.get("seq")
         if not isinstance(coeff, int) or isinstance(coeff, bool):
-            raise ParseError(f"term {index}: 'coeff' must be an integer, got {coeff!r}")
+            raise ParseError(f"term {index}: 'coeff' must be an integer, got {_quote(coeff)}")
         if not isinstance(seq, list):
-            raise ParseError(f"term {index}: 'seq' must be a list, got {seq!r}")
+            raise ParseError(f"term {index}: 'seq' must be a list, got {_quote(seq)}")
         terms.append((_surjection(seq, f"term {index}"), coeff))
     return Element(terms)
 

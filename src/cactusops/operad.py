@@ -47,7 +47,6 @@ from .reports import VerificationReport, equality_report, sides_report
 from .surjections import Surjection, recurrence_prefix
 
 __all__ = [
-    "UNIT",
     "composition_splits",
     "compose_basis",
     "compose",
@@ -56,8 +55,6 @@ __all__ = [
     "check_operad_axioms",
     "check_derivation",
 ]
-
-UNIT = Surjection((1,))
 
 
 @lru_cache(maxsize=1)

@@ -16,6 +16,7 @@ from .errors import (
     NonPositiveError,
     NotSurjectiveError,
     OutOfRangeError,
+    _quote,
 )
 
 __all__ = [
@@ -44,16 +45,16 @@ class Surjection:
             raise NotSurjectiveError("empty sequence")
         for v in values:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise NonPositiveError(f"entry {v!r} is not a positive integer")
+                raise NonPositiveError(f"entry {_quote(v)} is not a positive integer")
         for a, b in zip(values, values[1:]):
             if a == b:
-                raise DegenerateError(f"adjacent equal entries {a} in {values}")
+                raise DegenerateError(f"adjacent equal entries {a} in {_quote(values)}")
         n = max(values)
         seen = set(values)
         if len(seen) != n:
             # Some value up to len(seen) + 1 is missing; n may be huge.
             missing = next(v for v in range(1, n + 1) if v not in seen)
-            raise NotSurjectiveError(f"value {missing} missing from {values}")
+            raise NotSurjectiveError(f"value {missing} missing from {_quote(values)}")
         object.__setattr__(self, "seq", values)
         object.__setattr__(self, "arity", n)
         object.__setattr__(self, "degree", len(values) - n)
@@ -113,20 +114,13 @@ def recurrence_prefix(seq: tuple[int, ...]) -> list[int]:
     [a, b-1] whose value recurs later, is prefix[b - 1] - prefix[a - 1];
     the full window [1, len(seq)] gives the degree.
     """
-    size = len(seq)
-    recurs = [False] * size
-    last_seen: dict[int, int] = {}
-    for i in range(size - 1, -1, -1):
-        v = seq[i]
-        if v in last_seen:
-            recurs[i] = True
-        last_seen[v] = i
-    prefix = [0] * (size + 1)
+    final = {v: i for i, v in enumerate(seq)}
+    prefix = [0]
     acc = 0
-    for i in range(size):
-        if recurs[i]:
+    for i, v in enumerate(seq):
+        if final[v] != i:  # entry recurs later
             acc += 1
-        prefix[i + 1] = acc
+        prefix.append(acc)
     return prefix
 
 

@@ -14,7 +14,7 @@ SURJECTION_POOL = [
     u
     for n in range(1, 5)
     for k in range(0, 4)
-    for u in enumerate_basis(n, k, level=None, max_len=8)
+    for u in enumerate_basis(n, k, level=None)
 ]
 ELIGIBLE_POOL = [u for u in CACTI_POOL if u.seq.count(u.arity) == 1]
 

@@ -175,3 +175,18 @@ def naive_insertion(terms, before):
                 sign = -sign
             result[grown] = result.get(grown, 0) + coeff * sign
     return {key: c for key, c in result.items() if c}
+
+
+def flatten_lobe_tree(tree):
+    """The anticlockwise boundary traversal of a lobe tree, as a value tuple.
+
+    The tree is any object with ``label`` and ``slots`` (one tuple of
+    subtrees per arc): each arc writes the lobe's label and then the
+    traversals of the subtrees attached where it closes.
+    """
+    out = []
+    for slot in tree.slots:
+        out.append(tree.label)
+        for child in slot:
+            out.extend(flatten_lobe_tree(child))
+    return tuple(out)

@@ -20,7 +20,6 @@ from cactusops import (
     check_top_insertion_identities,
     check_word_boundary_compat,
     prime_cacti,
-    splice,
     splice_decompositions,
     white_op,
     word_boundary_image,
@@ -61,6 +60,8 @@ class TestWords:
         for bad in ("", "x", "wbx", "WB"):
             with pytest.raises(WordError):
                 word_image(bad)
+        with pytest.raises(WordError, match=r"^word 'w{20}'\.\.\. \(5001 characters\) must"):
+            word_image("w" * 5000 + "x")
 
     def test_all_words_order(self):
         assert all_words(2) == ["w", "b"]
@@ -81,8 +82,11 @@ class TestInsertionOps:
         assert black_op(E(2, 1, 3, 1).scale(-1)) == E(2, 1, 3, 1, 4, 1)
 
     def test_requires_unique_top_value(self):
-        with pytest.raises(MaxValueNotUniqueError, match=r"\(2,1,2\)"):
+        with pytest.raises(MaxValueNotUniqueError, match=r"\(2,1,2\)$"):
             white_op(E(2, 1, 2))
+        # A long term is quoted by its first entries and its length.
+        with pytest.raises(MaxValueNotUniqueError, match=r"\(1,2,3,.*,20\)\.\.\. \(3001 entries\)$"):
+            white_op(E(*range(1, 3000), 1, 2999))
 
     def test_matches_oracle_on_each_bidegree(self):
         # Every eligible cactus of one bidegree, with distinct non-unit coefficients.
@@ -188,7 +192,7 @@ class TestSplices:
     def test_reassembly(self):
         for word in ("wb", "bwb", "wbwb", "bbwwb"):
             for outer, inner, slot in splice_decompositions(word):
-                assert splice(outer, slot, inner) == word
+                assert outer[: slot - 1] + inner + outer[slot - 1 :] == word
                 assert len(outer) + len(inner) == len(word)
 
     def test_decomposition_count(self):
@@ -196,10 +200,6 @@ class TestSplices:
         for n in range(3, 7):
             count = len(list(splice_decompositions("w" * (n - 1))))
             assert count == sum(p for p in range(2, n))
-
-    def test_splice_validates_slot(self):
-        with pytest.raises(Exception):
-            splice("w", 3, "b")
 
 
 class TestBoundaryImages:

@@ -142,6 +142,14 @@ class TestRender:
         assert out == ""
         assert target.read_text().startswith("<?xml")
 
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run(capsys, "render", "2131", "--format", "text", "-o", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert not target.exists()
+
     def test_non_cactus_exits_two(self, capsys):
         code, _, err = run(capsys, "render", "(1,2,1,2)", "--format", "text")
         assert code == 2

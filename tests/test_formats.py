@@ -133,6 +133,24 @@ def element_texts(draw):
     text = " ".join(
         f"{sign}{coeff}({','.join(map(str, values))})" for sign, coeff, values in terms
     )
+    return _edited(draw, text)
+
+
+@st.composite
+def surjection_texts(draw):
+    """Surjection text near the grammar, compact ("1312") or parenthesized,
+    whose values may be degenerate or not surjective, then at most one
+    character edited."""
+    values = list(map(str, draw(value_lists)))
+    if draw(st.booleans()):
+        text = "".join(values)
+    else:
+        text = "(" + draw(st.sampled_from([",", ", ", " , "])).join(values) + ")"
+    return _edited(draw, draw(st.sampled_from(["", " ", "\n"])) + text)
+
+
+def _edited(draw, text):
+    """text, or text with one character inserted, replaced or deleted."""
     if draw(st.booleans()):
         pos = draw(st.integers(0, len(text)))
         edit = draw(st.sampled_from(["", "x", "(", ")", ",", "*", "-", "\n", "²", "0", "7"]))
@@ -193,6 +211,18 @@ class TestParserFuzz:
         else:
             assert parse_element(str(a)) == a
 
+    @given(st.one_of(surjection_texts(), st.text(max_size=16)))
+    @settings(max_examples=300)
+    def test_surjection_text_round_trips_or_is_rejected_with_position(self, text):
+        try:
+            u = parse_surjection(text)
+        except CactusOpsError as exc:
+            _assert_text_position(text, exc)
+        else:
+            assert parse_surjection(str(u)) == u
+            if u.arity <= 9:
+                assert parse_surjection("".join(map(str, u.seq))) == u
+
     @given(json_docs)
     @settings(max_examples=200)
     def test_element_json_round_trips_or_is_rejected_with_position(self, doc):
@@ -227,6 +257,56 @@ class TestParserFuzz:
             parse_element("+" + "9" * 5000 + "*(1)")
         with pytest.raises(ParseError, match=r"\(line 1, column 2\)$"):
             parse_element("(" + "7" * 5000 + ")")
+
+    @pytest.mark.parametrize(
+        "parse, given_input, error, length, where",
+        [
+            (
+                parse_element,
+                "(" + "2," * 3000 + "1)",
+                DegenerateError,
+                "3001 entries",
+                "(line 1, column 1)",
+            ),
+            (parse_surjection, "9" * 5000, DegenerateError, "5000 entries", "(line 1, column 1)"),
+            (
+                element_from_json,
+                {"terms": [{"coeff": 1, "seq": ["x" * 10000]}]},
+                NonPositiveError,
+                "10000 characters",
+                "(term 0)",
+            ),
+            (
+                element_from_json,
+                {"terms": [{"coeff": 1, "seq": "x" * 10000}]},
+                ParseError,
+                "10000 characters",
+                "term 0:",
+            ),
+            (
+                element_from_json,
+                {"terms": [{"coeff": "x" * 10000, "seq": [1]}]},
+                ParseError,
+                "10000 characters",
+                "term 0:",
+            ),
+            (
+                element_from_json,
+                {"format": "x" * 10000, "terms": []},
+                ParseError,
+                "10000 characters",
+                "'format'",
+            ),
+        ],
+    )
+    def test_long_invalid_value_is_quoted_by_a_prefix_and_its_length(
+        self, parse, given_input, error, length, where
+    ):
+        with pytest.raises(error) as err:
+            parse(given_input)
+        message = str(err.value)
+        assert len(message) < 200
+        assert f"... ({length})" in message and where in message
 
     def test_invalid_json_text_carries_line_and_column(self):
         with pytest.raises(ParseError) as err:

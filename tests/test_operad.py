@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cactusops import (
-    UNIT,
     Element,
     NotHomogeneousError,
     OutOfRangeError,
@@ -82,9 +81,9 @@ class TestComposeElements:
 
     def test_unit_axioms_exact(self):
         for u in (S(1), S(1, 2), S(2, 1, 3, 1), S(1, 2, 1, 3, 1)):
-            assert compose(UNIT, 1, u) == Element.single(u)
+            assert compose(S(1), 1, u) == Element.single(u)
             for t in range(1, u.arity + 1):
-                assert compose(u, t, UNIT) == Element.single(u)
+                assert compose(u, t, S(1)) == Element.single(u)
 
     def test_rejects_mixed_elements(self):
         mixed = E(1, 2) + E(1, 2, 1)
