@@ -28,6 +28,16 @@ Word images and structure maps are memoized with ``functools.cache``.
 The splice sums of the boundary images do cancel, and are streamed into
 ``Element.sum``, which adds each part into one dict in place.
 
+``a_infinity_terms`` streams psi_n term by term in lexicographic order,
+holding only psi_{n-1}.  For a fixed position j, the insertion of the
+new top value n, u~j = (u(1), ..., u(j), n, u(j), ..., u(end)), preserves
+lexicographic order: if u and v of one length first differ at a position
+d <= j, so do u~j and v~j; if d > j, u~j and v~j first differ at d + 1,
+by the same entries.  So the insertions at one position, taken over
+sorted(psi_{n-1}), come out sorted, and psi_n in order is the merge of
+the streams of all positions.  The merge must increase strictly: an
+equal step would be two coinciding insertions, and raises.
+
 The support of the arity-n structure map is the set of prime cacti, so
 its size 2(2n-5)!! is known before any work; structure maps above
 ``_MAX_IMAGE_TERMS`` terms are refused up front with ``ResourceBoundError``.
@@ -35,6 +45,7 @@ its size 2(2n-5)!! is known before any work; structure maps above
 
 from __future__ import annotations
 
+import heapq
 from functools import cache
 from itertools import product
 from typing import Iterator, Union
@@ -52,6 +63,7 @@ __all__ = [
     "black_op",
     "word_image",
     "a_infinity_image",
+    "a_infinity_terms",
     "splice_decompositions",
     "word_boundary_image",
     "a_infinity_boundary_image",
@@ -194,6 +206,71 @@ def a_infinity_image(n: int) -> Element:
     _insertion_half(previous, True, data)
     _insertion_half(previous, False, data)
     return Element._trusted(data)
+
+
+def _position_stream(
+    rows: list[tuple[bytes, int, int, int]], j: int, new: bytes
+) -> Iterator[tuple[bytes, int]]:
+    """The insertions at 0-based position j of every row, in row order.
+
+    A row is (sequence as bytes, coefficient, top position, sign flips):
+    the top position gets no insertion, and bit j of the flips says
+    whether the insertion at j negates the coefficient.
+    """
+    for seq, c, top, flips in rows:
+        if top != j:
+            yield seq[: j + 1] + new + seq[j:], -c if flips >> j & 1 else c
+
+
+def _insertion_row(seq: Seq, c: int) -> tuple[bytes, int, int, int]:
+    """The row of ``_position_stream`` for a term c*u of psi_{n-1}.
+
+    Bit j of the flips is the parity of k + |u|_j, plus one past the top
+    (black), as in ``_insertion_half``.
+    """
+    top = _top_index(seq)
+    final = {v: i for i, v in enumerate(seq)}
+    parity = (len(seq) - seq[top]) & 1
+    flips = 0
+    for i, v in enumerate(seq):
+        if i == top:
+            parity ^= 1
+        elif parity:
+            flips |= 1 << i
+        if final[v] != i:  # entry recurs later
+            parity ^= 1
+    return bytes(seq), c, top, flips
+
+
+def a_infinity_terms(n: int) -> Iterator[tuple[Seq, int]]:
+    """The terms ``(sequence, coefficient)`` of ``a_infinity_image(n)`` in
+    lexicographic order, streamed from psi_{n-1} without building psi_n.
+
+    Merges one order-preserving insertion stream per position (see the
+    module docstring).  Raises ResourceBoundError before any work, like
+    ``a_infinity_image``; the stream raises RuntimeError on a step that
+    does not increase, which would mean two insertions coincide.
+    """
+    if n < 2:
+        raise ValueError(f"arity {n} has no generator words")
+    _check_image_size(n)
+    if n == 2:
+        return iter(sorted(a_infinity_image(2)._terms.items()))
+    return _merged_insertions(n)
+
+
+def _merged_insertions(n: int) -> Iterator[tuple[Seq, int]]:
+    # Sequences merge as bytes, which order like the tuples: psi_n has
+    # values up to n, far below 256 within the size bound.
+    rows = [_insertion_row(seq, c) for seq, c in sorted(a_infinity_image(n - 1)._terms.items())]
+    new = bytes((n,))
+    streams = [_position_stream(rows, j, new) for j in range(2 * n - 4)]
+    last = b""
+    for seq, c in heapq.merge(*streams):
+        if seq <= last:
+            raise RuntimeError(f"psi_{n} stream does not increase at {_seq_str(seq)}")
+        last = seq
+        yield tuple(seq), c
 
 
 def splice_decompositions(word: str) -> Iterator[tuple[str, str, int]]:

@@ -9,7 +9,9 @@ which are valid by construction, and so does ``apply_linear`` for the
 argument of a basis-level map.  Terms are sorted lexicographically
 whenever an ordering is visible (iteration, serialization, equality of
 string forms); the string form sorts by ``bytes`` keys, which order like
-the tuples while every value is below 256.
+the tuples while every value is below 256.  The text of one term is
+``_term_str``'s alone, so a stream of sorted terms (``cactusops psi``)
+prints exactly like the element.
 
 Every sum in the package goes through one in-place update, ``_accumulate``.
 ``Element.sum`` streams ``(coeff, Element)`` parts through it; the operad
@@ -47,6 +49,13 @@ def _accumulate(data: dict[Seq, int], pairs: Iterable[tuple[Seq, int]], scale: i
             data[seq] = new
         else:
             data.pop(seq, None)
+
+
+def _term_str(seq: Seq, c: int) -> str:
+    """The text of one term of an element: "+(1,2)", "-(2,1)", "+3*(1,2,1)"."""
+    sign = "+" if c > 0 else "-"
+    body = _seq_str(seq)
+    return sign + body if c == 1 or c == -1 else f"{sign}{abs(c)}*{body}"
 
 
 def _basis(seq: Seq) -> Surjection:
@@ -189,13 +198,7 @@ class Element:
             order = sorted(terms, key=bytes)
         except ValueError:  # a value of 256 or more
             order = sorted(terms)
-        parts = []
-        for seq in order:
-            c = terms[seq]
-            sign = "+" if c > 0 else "-"
-            body = _seq_str(seq)
-            parts.append(sign + body if c == 1 or c == -1 else f"{sign}{abs(c)}*{body}")
-        return " ".join(parts)
+        return " ".join([_term_str(seq, terms[seq]) for seq in order])
 
     def __repr__(self) -> str:
         return f"Element({str(self)!r})"

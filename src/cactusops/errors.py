@@ -17,17 +17,57 @@ __all__ = [
 
 
 # A longer string or sequence is quoted in a message by this many
-# characters or entries and its length.
+# characters or entries and its length, and an integer of more digits by
+# its digit count.
 _QUOTE_MAX = 20
+_QUOTE_INT = 10**_QUOTE_MAX
+
+
+def _digit_count(v: int) -> int:
+    """The number of decimal digits of abs(v), without converting v to text
+    (CPython refuses to above 4,300 digits)."""
+    v = abs(v)
+    # At least 1 + floor((bits - 1) * log10(2)) digits; the constant is just
+    # below log10(2), so the estimate is a lower bound.
+    digits = 1 + (max(v.bit_length() - 1, 0) * 30102999566) // 10**11
+    while v >= 10**digits:
+        digits += 1
+    return digits
+
+
+class _LongInt:
+    """Stands for an integer of more than ``_QUOTE_MAX`` digits in a message."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, v: int):
+        sign = "negative " if v < 0 else ""
+        self.text = f"<{sign}integer of {_digit_count(v)} digits>"
+
+    def __repr__(self) -> str:
+        return self.text
+
+    __str__ = __repr__
+
+
+def _short(v):
+    if isinstance(v, int) and not isinstance(v, bool) and not -_QUOTE_INT < v < _QUOTE_INT:
+        return _LongInt(v)
+    return v
 
 
 def _quote(value, show=repr) -> str:
     """show(value), cut to its first part and its length when value is a
-    string or sequence longer than ``_QUOTE_MAX``."""
-    if not isinstance(value, (str, tuple, list)) or len(value) <= _QUOTE_MAX:
-        return show(value)
-    unit = "characters" if isinstance(value, str) else "entries"
-    return f"{show(value[:_QUOTE_MAX])}... ({len(value)} {unit})"
+    string or sequence longer than ``_QUOTE_MAX``; long integers, alone or
+    as entries, are quoted by their digit count."""
+    if isinstance(value, (tuple, list)):
+        head = type(value)(map(_short, value[:_QUOTE_MAX]))
+        if len(value) <= _QUOTE_MAX:
+            return show(head)
+        return f"{show(head)}... ({len(value)} entries)"
+    if not isinstance(value, str) or len(value) <= _QUOTE_MAX:
+        return show(_short(value))
+    return f"{show(value[:_QUOTE_MAX])}... ({len(value)} characters)"
 
 
 class CactusOpsError(Exception):

@@ -16,11 +16,13 @@ JSON documents carry a top-level {"format": "cactus-v1"} marker.
 
 Rejected input raises a ``CactusOpsError`` that names where it went wrong:
 a ``ParseError`` in text (element text or JSON text that does not decode)
-carries the line and column, one in a JSON object names the term or the
-top-level key, and a term that is not a valid surjection keeps its
+carries the line and column (but a JSON integer literal too long to
+convert is named by its digit count alone), one in a JSON object names the
+term or the top-level key, and a term that is not a valid surjection keeps its
 validation error type with the term's position, "(line L, column C)" in
 text or "term i" in JSON, appended.  A long token or value is quoted by
-its first characters or entries and its length (``errors._quote``).
+its first characters or entries and its length, a long integer by its
+digit count (``errors._quote``).
 
 Lobe trees render to graphviz DOT, to standalone SVG (one circle per
 lobe, children tangent to their parent at angles set by the attachment
@@ -180,10 +182,19 @@ def element_to_json(a: Element) -> dict:
     }
 
 
+def _json_int(text: str) -> int:
+    # json.loads calls this for every integer literal, which has no position.
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        digits = len(text.lstrip("-"))
+        raise ParseError(f"integer of {digits} digits is too long") from None
+
+
 def element_from_json(doc: Union[dict, str]) -> Element:
     if isinstance(doc, str):
         try:
-            doc = json.loads(doc)
+            doc = json.loads(doc, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):

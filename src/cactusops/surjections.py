@@ -48,7 +48,7 @@ class Surjection:
                 raise NonPositiveError(f"entry {_quote(v)} is not a positive integer")
         for a, b in zip(values, values[1:]):
             if a == b:
-                raise DegenerateError(f"adjacent equal entries {a} in {_quote(values)}")
+                raise DegenerateError(f"adjacent equal entries {_quote(a)} in {_quote(values)}")
         n = max(values)
         seen = set(values)
         if len(seen) != n:

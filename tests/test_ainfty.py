@@ -13,6 +13,7 @@ from cactusops import (
     WordError,
     a_infinity_boundary_image,
     a_infinity_image,
+    a_infinity_terms,
     all_words,
     black_op,
     boundary,
@@ -26,6 +27,7 @@ from cactusops import (
     word_image,
 )
 
+import cactusops.ainfty as ainfty_module
 from cactusops.ainfty import _MAX_IMAGE_TERMS, _check_image_size, _insertion_half
 from conftest import ELIGIBLE_POOL, eligible_cacti, elements
 from oracles import naive_insertion
@@ -181,6 +183,38 @@ class TestStructureImage:
             a_infinity_image(11)
         with pytest.raises(ResourceBoundError, match=r"arity 14: .* 632468286450 terms"):
             a_infinity_image(14)
+
+    def test_stream_is_the_sorted_image(self):
+        for n in range(2, 9):
+            assert list(a_infinity_terms(n)) == sorted(a_infinity_image(n)._terms.items()), n
+
+    def test_stream_refuses_above_bound_before_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started before the size bound was checked")
+
+        monkeypatch.setattr(ainfty_module, "a_infinity_image", no_work)
+        monkeypatch.setattr(ainfty_module, "_merged_insertions", no_work)
+        with pytest.raises(ResourceBoundError, match=r"arity 11: .* 68918850 terms"):
+            a_infinity_terms(11)  # raises on the call, not on the first term
+        with pytest.raises(ValueError, match="arity 1"):
+            a_infinity_terms(1)
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            # every insertion comes twice
+            lambda stream: lambda rows, j, new: (t for t in stream(rows, j, new) for _ in range(2)),
+            # each position inserts where the next one does, the last one in place
+            lambda stream: lambda rows, j, new: stream(rows, min(j + 1, len(rows[0][0]) - 1), new),
+        ],
+        ids=["duplicated-insertion", "position-shifted-by-one"],
+    )
+    def test_stream_rejects_coinciding_insertions(self, monkeypatch, mutation):
+        monkeypatch.setattr(
+            ainfty_module, "_position_stream", mutation(ainfty_module._position_stream)
+        )
+        with pytest.raises(RuntimeError, match="psi_6 stream does not increase"):
+            list(a_infinity_terms(6))
 
     def test_sign_lookup(self):
         assert a_infinity_image(3).coefficient(S(1, 3, 1, 2)) == 1

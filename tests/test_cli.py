@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import cactusops.cli as cli_module
 import cactusops.operad as operad_module
 from cactusops.cli import main
 
@@ -23,6 +24,31 @@ class TestComputationCommands:
         code, out, _ = run(capsys, "psi", "3")
         assert code == 0
         assert out == "+(1,3,1,2) -(2,1,3,1)\n"
+
+    def test_psi_prints_the_image_in_chunks(self, capsys):
+        from cactusops.ainfty import a_infinity_image
+        from cactusops.cli import PSI_CHUNK
+
+        assert len(a_infinity_image(8)) > 3 * PSI_CHUNK  # psi_8 spans several chunks
+        for n in range(2, 9):
+            code, out, _ = run(capsys, "psi", str(n))
+            assert code == 0
+            assert out == str(a_infinity_image(n)) + "\n", n
+
+    def test_psi_never_builds_the_image_it_prints(self, capsys, monkeypatch):
+        import cactusops.ainfty as ainfty_module
+
+        build = ainfty_module.a_infinity_image
+
+        def only_below_seven(n):
+            assert n < 7, f"psi {n} was built"
+            return build(n)
+
+        monkeypatch.setattr(ainfty_module, "a_infinity_image", only_below_seven)
+        monkeypatch.setattr(cli_module, "a_infinity_image", only_below_seven, raising=False)
+        code, out, _ = run(capsys, "psi", "7")
+        assert code == 0
+        assert out == str(build(7)) + "\n"
 
     def test_mu(self, capsys):
         code, out, _ = run(capsys, "mu", "bw")
@@ -62,6 +88,8 @@ class TestComputationCommands:
             raise AssertionError("work started before the size bound was checked")
 
         monkeypatch.setattr(ainfty_module, "_insertion_half", no_work)
+        monkeypatch.setattr(ainfty_module, "_merged_insertions", no_work)
+        monkeypatch.setattr(ainfty_module, "_position_stream", no_work)
         code, out, err = run(capsys, "psi", "11")
         assert code == 2
         assert out == ""

@@ -308,6 +308,23 @@ class TestParserFuzz:
         assert len(message) < 200
         assert f"... ({length})" in message and where in message
 
+    @pytest.mark.parametrize(
+        "term",
+        ['{"coeff": 1, "seq": [1, ' + "9" * 5000 + "]}", '{"coeff": -' + "9" * 5000 + ', "seq": [1]}'],
+        ids=["seq", "coeff"],
+    )
+    def test_json_integer_too_long_to_convert_is_a_parse_error(self, term):
+        # json.loads raises a bare ValueError past CPython's 4,300-digit limit.
+        with pytest.raises(ParseError, match=r"^integer of 5000 digits is too long$"):
+            element_from_json('{"terms": [' + term + "]}")
+
+    def test_long_integer_entries_are_quoted_by_their_digit_count(self):
+        with pytest.raises(DegenerateError) as err:
+            element_from_json({"terms": [{"coeff": 1, "seq": [10**5000, 10**5000]}]})
+        message = str(err.value)
+        assert len(message) < 200
+        assert "<integer of 5001 digits>" in message and "(term 0)" in message
+
     def test_invalid_json_text_carries_line_and_column(self):
         with pytest.raises(ParseError) as err:
             element_from_json('{"terms":\n  [1,}')

@@ -40,6 +40,15 @@ class TestValidate:
         with pytest.raises(NonPositiveError):
             Surjection((1, -2))
 
+    def test_integers_past_the_text_limit_are_quoted_by_digit_count(self):
+        # str() refuses integers above 4,300 digits; the messages must not need it.
+        with pytest.raises(DegenerateError, match=r"^adjacent equal entries <integer of 5001 digits> in \("):
+            Surjection((10**5000, 10**5000))
+        with pytest.raises(NonPositiveError, match="<negative integer of 5001 digits>"):
+            Surjection((1, -(10**5000)))
+        with pytest.raises(NotSurjectiveError, match=r"from \(<integer of 4301 digits>,\)"):
+            Surjection((10**4300,))
+
     def test_empty(self):
         with pytest.raises(NotSurjectiveError):
             Surjection(())
