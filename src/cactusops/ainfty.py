@@ -18,12 +18,13 @@ position j.  Summing word images over all words of one arity gives the
 arity-n component of the homotopy-associative structure whose binary part
 is the symmetrized product (1,2) + (2,1).
 
-One kernel, ``_insertion_half``, walks the raw terms of an element once
-and writes every signed insertion of one color into a dict.  Insertions
-never collide (see the kernel), so they are assigned, not summed; the
-same fact makes the word images of one arity partition the prime cacti,
-and since insertion is linear the structure map is built by recursion,
-psi_n = white(psi_{n-1}) + black(psi_{n-1}), without visiting the words.
+Every insertion takes its sign from one rule, ``_insertion_row``; one
+kernel, ``_insertion_half``, writes the white, black or both insertions
+of an element into a dict in one pass over its terms.  Insertions never
+collide (see the kernel), so they are assigned, not summed; the same
+fact makes the word images of one arity partition the prime cacti, and
+since insertion is linear the structure map is built by recursion,
+psi_n = white(psi_{n-1}) + black(psi_{n-1}), in one pass per arity.
 Word images and structure maps are memoized with ``functools.cache``.
 The splice sums of the boundary images do cancel, and are streamed into
 ``Element.sum``, which adds each part into one dict in place.
@@ -106,14 +107,32 @@ def _top_index(seq: Seq) -> int:
     return top
 
 
-def _insertion_half(data: dict[Seq, int], before: bool, out: dict[Seq, int]) -> None:
-    """Write the white (``before``) or black insertion sum of the element
-    ``data`` into ``out``, in one pass over its terms.
+def _insertion_row(seq: Seq) -> tuple[int, int]:
+    """The top position of u and, as bits, which insertions negate c.
 
-    The insertion u~j of a term u of arity n and degree k carries
-    c * (-1)**(k + |u|_j), negated for black, with |u|_j the relative
-    degree of u(1..j), the number of positions before j whose value
-    recurs later: its parity is carried forward as j advances.
+    The insertion u~j of a term c*u of arity n and degree k carries
+    c * (-1)**(k + |u|_j), negated past the top (black), with |u|_j the
+    relative degree of u(1..j), the number of positions before j whose
+    value recurs later: its parity is carried forward as j advances.
+    """
+    top = _top_index(seq)
+    final = {v: i for i, v in enumerate(seq)}
+    parity = (len(seq) - seq[top]) & 1
+    flips = 0
+    for i, v in enumerate(seq):
+        if i == top:
+            parity ^= 1
+        elif parity:
+            flips |= 1 << i
+        if final[v] != i:  # entry recurs later
+            parity ^= 1
+    return top, flips
+
+
+def _insertion_half(data: dict[Seq, int], colors: str, out: dict[Seq, int]) -> None:
+    """Write the insertion sums of ``data`` of the colors ``'w'``, ``'b'``
+    or ``'wb'`` into ``out``, in one pass over its terms.
+
     Each insertion is assigned, not added: u comes back from u~j by
     deleting the unique top value n+1 and one of the two equal neighbours
     it leaves, and a white term has n+1 before n, a black one after, so
@@ -123,42 +142,36 @@ def _insertion_half(data: dict[Seq, int], before: bool, out: dict[Seq, int]) -> 
     start = len(out)
     made = 0
     for seq, c in data.items():
-        top = _top_index(seq)
-        n = seq[top]
-        new = (n + 1,)
-        lo, hi = (0, top) if before else (top + 1, len(seq))
-        made += hi - lo
-        sign = c if (len(seq) - n) % 2 == (0 if before else 1) else -c
-        final = {v: i for i, v in enumerate(seq)}
-        for i, v in enumerate(seq):
-            if i >= lo:
-                if i == hi:
-                    break
-                out[seq[: i + 1] + new + seq[i:]] = sign
-            if final[v] != i:  # entry recurs later
-                sign = -sign
+        top, flips = _insertion_row(seq)
+        new = (seq[top] + 1,)
+        lo = 0 if WHITE in colors else top + 1
+        hi = len(seq) if BLACK in colors else top
+        made += hi - lo - (lo <= top < hi)
+        for j in range(lo, hi):
+            if j != top:
+                out[seq[: j + 1] + new + seq[j:]] = -c if flips >> j & 1 else c
     if len(out) != start + made:
         raise RuntimeError(
             f"{made} insertions added {len(out) - start} terms: two insertions coincide"
         )
 
 
-def _insertion(a: Union[Element, Surjection], before: bool) -> Element:
+def _insertion(a: Union[Element, Surjection], color: str) -> Element:
     ea = as_element(a)
     ea.bidegree()
     out: dict[Seq, int] = {}
-    _insertion_half(ea._terms, before, out)
+    _insertion_half(ea._terms, color, out)
     return Element._trusted(out)
 
 
 def white_op(a: Union[Element, Surjection]) -> Element:
     """Signed top-lobe insertions before the top lobe, extended linearly."""
-    return _insertion(a, before=True)
+    return _insertion(a, WHITE)
 
 
 def black_op(a: Union[Element, Surjection]) -> Element:
     """Signed top-lobe insertions after the top lobe, extended linearly."""
-    return _insertion(a, before=False)
+    return _insertion(a, BLACK)
 
 
 @cache
@@ -176,8 +189,10 @@ def word_image(word: str) -> Element:
 
 
 def _check_image_size(n: int) -> None:
-    """Refuse, before any work, an arity whose structure map exceeds the bound."""
-    if n >= 2 and (count := prime_cacti_count(n)) > _MAX_IMAGE_TERMS:
+    """Refuse, before any work, an arity below 2 or above the bound."""
+    if n < 2:
+        raise ValueError(f"arity {n} has no generator words")
+    if (count := prime_cacti_count(n)) > _MAX_IMAGE_TERMS:
         raise ResourceBoundError(
             f"arity {n}: the structure map has {count} terms, "
             f"more than the bound of {_MAX_IMAGE_TERMS}"
@@ -190,56 +205,28 @@ def a_infinity_image(n: int) -> Element:
 
     Insertion is linear and every arity-n word is an arity-(n-1) word
     followed by 'w' or 'b', so psi_n = white(psi_{n-1}) + black(psi_{n-1}),
-    built from psi_2 = (1,2) + (2,1) by two kernel passes per arity.
+    built from psi_2 = (1,2) + (2,1) by one kernel pass per arity.
     Memoized with ``functools.cache`` like ``word_image``, so every psi_k
     up to n stays until ``a_infinity_image.cache_clear()``.  Raises
     ResourceBoundError, before any work, when the map would have more than
     ``_MAX_IMAGE_TERMS`` terms.
     """
-    if n < 2:
-        raise ValueError(f"arity {n} has no generator words")
     _check_image_size(n)
     if n == 2:
         return Element._trusted({_BASE[WHITE]: 1, _BASE[BLACK]: 1})
-    previous = a_infinity_image(n - 1)._terms
     data: dict[Seq, int] = {}
-    _insertion_half(previous, True, data)
-    _insertion_half(previous, False, data)
+    _insertion_half(a_infinity_image(n - 1)._terms, WHITE + BLACK, data)
     return Element._trusted(data)
 
 
 def _position_stream(
     rows: list[tuple[bytes, int, int, int]], j: int, new: bytes
 ) -> Iterator[tuple[bytes, int]]:
-    """The insertions at 0-based position j of every row, in row order.
-
-    A row is (sequence as bytes, coefficient, top position, sign flips):
-    the top position gets no insertion, and bit j of the flips says
-    whether the insertion at j negates the coefficient.
-    """
+    """The insertions at 0-based position j of every row, in row order;
+    a row is a term as bytes, its coefficient and its ``_insertion_row``."""
     for seq, c, top, flips in rows:
         if top != j:
             yield seq[: j + 1] + new + seq[j:], -c if flips >> j & 1 else c
-
-
-def _insertion_row(seq: Seq, c: int) -> tuple[bytes, int, int, int]:
-    """The row of ``_position_stream`` for a term c*u of psi_{n-1}.
-
-    Bit j of the flips is the parity of k + |u|_j, plus one past the top
-    (black), as in ``_insertion_half``.
-    """
-    top = _top_index(seq)
-    final = {v: i for i, v in enumerate(seq)}
-    parity = (len(seq) - seq[top]) & 1
-    flips = 0
-    for i, v in enumerate(seq):
-        if i == top:
-            parity ^= 1
-        elif parity:
-            flips |= 1 << i
-        if final[v] != i:  # entry recurs later
-            parity ^= 1
-    return bytes(seq), c, top, flips
 
 
 def a_infinity_terms(n: int) -> Iterator[tuple[Seq, int]]:
@@ -251,8 +238,6 @@ def a_infinity_terms(n: int) -> Iterator[tuple[Seq, int]]:
     ``a_infinity_image``; the stream raises RuntimeError on a step that
     does not increase, which would mean two insertions coincide.
     """
-    if n < 2:
-        raise ValueError(f"arity {n} has no generator words")
     _check_image_size(n)
     if n == 2:
         return iter(sorted(a_infinity_image(2)._terms.items()))
@@ -262,7 +247,8 @@ def a_infinity_terms(n: int) -> Iterator[tuple[Seq, int]]:
 def _merged_insertions(n: int) -> Iterator[tuple[Seq, int]]:
     # Sequences merge as bytes, which order like the tuples: psi_n has
     # values up to n, far below 256 within the size bound.
-    rows = [_insertion_row(seq, c) for seq, c in sorted(a_infinity_image(n - 1)._terms.items())]
+    previous = sorted(a_infinity_image(n - 1)._terms.items())
+    rows = [(bytes(seq), c, *_insertion_row(seq)) for seq, c in previous]
     new = bytes((n,))
     streams = [_position_stream(rows, j, new) for j in range(2 * n - 4)]
     last = b""
@@ -310,8 +296,7 @@ def word_boundary_image(word: str) -> Element:
 def a_infinity_boundary_image(n: int) -> Element:
     """Image of the arity-n generator's boundary in the one-color setting:
     the same splice sum with both factors replaced by full structure maps."""
-    if n < 2:
-        raise ValueError(f"arity {n} has no generator")
+    _check_image_size(n)
 
     def parts() -> Iterator[tuple[int, Element]]:
         for p in range(2, n):

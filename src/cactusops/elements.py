@@ -51,11 +51,23 @@ def _accumulate(data: dict[Seq, int], pairs: Iterable[tuple[Seq, int]], scale: i
             data.pop(seq, None)
 
 
+_DIGIT_CHUNK = 10**640
+
+
+def _digits(c: int) -> str:
+    """Exact decimal digits of c >= 0; str() may refuse more than 640 at once."""
+    chunks = []
+    while c >= _DIGIT_CHUNK:
+        c, low = divmod(c, _DIGIT_CHUNK)
+        chunks.append(f"{low:0640d}")
+    return str(c) + "".join(reversed(chunks))
+
+
 def _term_str(seq: Seq, c: int) -> str:
     """The text of one term of an element: "+(1,2)", "-(2,1)", "+3*(1,2,1)"."""
     sign = "+" if c > 0 else "-"
     body = _seq_str(seq)
-    return sign + body if c == 1 or c == -1 else f"{sign}{abs(c)}*{body}"
+    return sign + body if c == 1 or c == -1 else f"{sign}{_digits(abs(c))}*{body}"
 
 
 def _basis(seq: Seq) -> Surjection:

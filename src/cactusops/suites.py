@@ -189,11 +189,13 @@ def _words(cfg: SuiteConfig) -> list[str]:
 
 
 def run_mupartial(cfg: SuiteConfig) -> list[VerificationReport]:
+    _check_image_size(cfg.max_arity + 1)  # the images of xw and xb are one arity up
     cases = [check_word_boundary_compat(word) for word in _words(cfg)]
     return [_report("mupartial.words", cases, f"{len(cases)} words")]
 
 
 def run_a2inf(cfg: SuiteConfig) -> list[VerificationReport]:
+    _check_image_size(cfg.max_arity)  # the word images partition the structure map
     cases = [
         equality_report(f"a2inf[{word}]", boundary(word_image(word)), word_boundary_image(word))
         for word in _words(cfg)

@@ -108,7 +108,7 @@ class TestInsertionOps:
         # An insertion that lands on a term already written is refused.
         out = {(1, 3, 1, 2): 5}
         with pytest.raises(RuntimeError, match="coincide"):
-            _insertion_half({(1, 2): 1}, True, out)
+            _insertion_half({(1, 2): 1}, "w", out)
 
     @given(eligible_cacti)
     def test_new_lobe_sits_on_expected_side(self, u):
@@ -187,6 +187,15 @@ class TestStructureImage:
     def test_stream_is_the_sorted_image(self):
         for n in range(2, 9):
             assert list(a_infinity_terms(n)) == sorted(a_infinity_image(n)._terms.items()), n
+
+    def test_stream_matches_the_oracle_recursion(self):
+        # psi_n = white(psi_{n-1}) + black(psi_{n-1}), signs from the oracle alone.
+        psi = {(1, 2): 1, (2, 1): 1}
+        for n in range(3, 8):
+            white, black = naive_insertion(psi, True), naive_insertion(psi, False)
+            assert not white.keys() & black.keys()
+            psi = {**white, **black}
+            assert list(a_infinity_terms(n)) == sorted(psi.items()), n
 
     def test_stream_refuses_above_bound_before_work(self, monkeypatch):
         def no_work(*args):

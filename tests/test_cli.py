@@ -88,6 +88,7 @@ class TestComputationCommands:
             raise AssertionError("work started before the size bound was checked")
 
         monkeypatch.setattr(ainfty_module, "_insertion_half", no_work)
+        monkeypatch.setattr(ainfty_module, "_insertion_row", no_work)
         monkeypatch.setattr(ainfty_module, "_merged_insertions", no_work)
         monkeypatch.setattr(ainfty_module, "_position_stream", no_work)
         code, out, err = run(capsys, "psi", "11")
@@ -95,18 +96,34 @@ class TestComputationCommands:
         assert out == ""
         assert "arity 11" in err and "68918850" in err
 
-    def test_verify_ainf_above_size_bound_exits_two_before_work(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "suite, max_arity, arity",
+        [("ainf", 11, 11), ("a2inf", 11, 11), ("mupartial", 10, 11), ("mupartial", 40, 41)],
+        ids=["ainf-11", "a2inf-11", "mupartial-10", "mupartial-40"],
+    )
+    def test_verify_above_bound_exits_two_before_work(
+        self, capsys, monkeypatch, suite, max_arity, arity
+    ):
+        # mupartial checks each word through the images one arity up.
         import cactusops.suites as suites_module
+        from cactusops.cacti import prime_cacti_count
 
         def no_work(*args):
             raise AssertionError("work started before the size bound was checked")
 
-        monkeypatch.setattr(suites_module, "a_infinity_image", no_work)
-        monkeypatch.setattr(suites_module, "boundary", no_work)
-        code, out, err = run(capsys, "verify", "ainf", "--max-arity", "11")
+        for name in ("a_infinity_image", "boundary", "word_image", "all_words"):
+            monkeypatch.setattr(suites_module, name, no_work)
+        code, out, err = run(capsys, "verify", suite, "--max-arity", str(max_arity))
         assert code == 2
         assert out == ""
-        assert "arity 11" in err and "68918850" in err
+        assert f"arity {arity}:" in err and f"{prime_cacti_count(arity)} terms" in err
+
+    def test_long_coefficients_print_exactly(self, capsys):
+        # (10**3000 - 1)**2 has 6,000 digits, past str()'s default limit of 4,300.
+        nines = "+" + "9" * 3000 + "*(1,2)"
+        code, out, err = run(capsys, "compose", nines, "1", nines)
+        assert (code, err) == (0, "")
+        assert out == "+" + "9" * 2999 + "8" + "0" * 2999 + "1" + "*(1,2,3)\n"
 
 
 class TestCactiListing:
@@ -264,7 +281,7 @@ class TestReportContract:
 
 class TestMutationSmoke:
     """verify all must go red under an injected sign error in the
-    composition or the differential, and green without one."""
+    composition, the differential or the insertions, and green without one."""
 
     ARGS = [
         "verify",
@@ -312,5 +329,29 @@ class TestMutationSmoke:
             lambda vseq, t, n_inner: (true_outer(vseq, t, n_inner)[0], (0,) * vseq.count(t)),
         )
         code, out, _ = run(capsys, *self.ARGS)
+        assert code == 1
+        assert "FAIL" in out
+
+    def test_flipped_insertion_sign_detected(self, capsys, monkeypatch):
+        # Toggle the sign of every insertion at the first position.  Word and
+        # structure images are memoized, so build them afresh under the
+        # mutant and drop them afterwards.
+        import cactusops.ainfty as ainfty_module
+
+        true_row = ainfty_module._insertion_row
+
+        def mutant(seq):
+            top, flips = true_row(seq)
+            return top, flips ^ 1
+
+        monkeypatch.setattr(ainfty_module, "_insertion_row", mutant)
+        caches = (ainfty_module.word_image, ainfty_module.a_infinity_image)
+        for f in caches:
+            f.cache_clear()
+        try:
+            code, out, _ = run(capsys, *self.ARGS)
+        finally:
+            for f in caches:
+                f.cache_clear()
         assert code == 1
         assert "FAIL" in out
