@@ -30,14 +30,20 @@ The splice sums of the boundary images do cancel, and are streamed into
 ``Element.sum``, which adds each part into one dict in place.
 
 ``a_infinity_terms`` streams psi_n term by term in lexicographic order,
-holding only psi_{n-1}.  For a fixed position j, the insertion of the
-new top value n, u~j = (u(1), ..., u(j), n, u(j), ..., u(end)), preserves
-lexicographic order: if u and v of one length first differ at a position
-d <= j, so do u~j and v~j; if d > j, u~j and v~j first differ at d + 1,
-by the same entries.  So the insertions at one position, taken over
-sorted(psi_{n-1}), come out sorted, and psi_n in order is the merge of
-the streams of all positions.  The merge must increase strictly: an
-equal step would be two coinciding insertions, and raises.
+holding only psi_{n-1}, by one walk over the sorted terms u of psi_{n-1}.
+The insertion of the new top value n at 0-based position j is
+u~j = u[:j+1] + (n,) + u[j:].  Take the terms that share a prefix
+P = u[:p].  Their insertions at j >= p begin with P + (u[p],), those at
+j = p - 1 with P + (n,), and n exceeds every entry of psi_{n-1}.  So the
+walk emits, for each such group, first the groups of its terms that share
+u[p] as well, in ascending order of u[p], and then its insertions at
+j = p - 1 in term order, which is sorted: they share P and n and then
+differ as the terms do.  A group of one term emits its insertions at
+every j >= p - 1 with j descending, since u~j' < u~j for j' > j (they
+first differ at j + 1, where u~j has n); so only the terms' branching
+prefixes are walked.  The walk yields blocks of at most ``PSI_CHUNK``
+terms, and each block must increase strictly from the last term before
+it: an equal step would be two coinciding insertions, and raises.
 
 The support of the arity-n structure map is the set of prime cacti, so
 its size 2(2n-5)!! is known before any work; structure maps above
@@ -46,9 +52,9 @@ its size 2(2n-5)!! is known before any work; structure maps above
 
 from __future__ import annotations
 
-import heapq
 from functools import cache
 from itertools import product
+from operator import itemgetter, lt
 from typing import Iterator, Union
 
 from .cacti import prime_cacti_count
@@ -79,6 +85,9 @@ BLACK = "b"
 # The largest structure map built: psi_10 has 4,054,050 terms and takes
 # about 1 GB; psi_11 would have 68,918,850.
 _MAX_IMAGE_TERMS = 5_000_000
+
+# Terms of psi_n per block of its sorted stream.
+PSI_CHUNK = 1024
 
 _BASE = {WHITE: (2, 1), BLACK: (1, 2)}
 
@@ -219,44 +228,114 @@ def a_infinity_image(n: int) -> Element:
     return Element._trusted(data)
 
 
-def _position_stream(
+def _position_insertions(
     rows: list[tuple[bytes, int, int, int]], j: int, new: bytes
-) -> Iterator[tuple[bytes, int]]:
-    """The insertions at 0-based position j of every row, in row order;
-    a row is a term as bytes, its coefficient and its ``_insertion_row``."""
-    for seq, c, top, flips in rows:
-        if top != j:
-            yield seq[: j + 1] + new + seq[j:], -c if flips >> j & 1 else c
+) -> list[tuple[bytes, int]]:
+    """The insertions at 0-based position j of rows that share their first
+    j + 1 entries, in row order; a row is a term as bytes, its coefficient
+    and its ``_insertion_row``.  The shared entries hold the top of every
+    row or of none."""
+    first, _, top, _ = rows[0]
+    if top == j:
+        return []
+    head = first[: j + 1] + new
+    return [(head + seq[j:], -c if flips >> j & 1 else c) for seq, c, _, flips in rows]
 
 
-def a_infinity_terms(n: int) -> Iterator[tuple[Seq, int]]:
-    """The terms ``(sequence, coefficient)`` of ``a_infinity_image(n)`` in
-    lexicographic order, streamed from psi_{n-1} without building psi_n.
+def _row_insertions(
+    row: tuple[bytes, int, int, int], lo: int, new: bytes
+) -> list[tuple[bytes, int]]:
+    """The insertions of one row at every position from lo on, in order:
+    j descending, since u~j has the top value where u~j' (j' > j) still
+    has an entry of u."""
+    seq, c, top, flips = row
+    return [
+        (seq[: j + 1] + new + seq[j:], -c if flips >> j & 1 else c)
+        for j in range(len(seq) - 1, lo - 1, -1)
+        if j != top
+    ]
 
-    Merges one order-preserving insertion stream per position (see the
-    module docstring).  Raises ResourceBoundError before any work, like
+
+def _prefix_walk(n: int) -> Iterator[list[tuple[bytes, int]]]:
+    """The insertions into sorted psi_{n-1}, as lists whose concatenation
+    is psi_n in order (see the module docstring); terms are bytes."""
+    # Sequences sort as bytes, which order like the tuples: psi_n has
+    # values up to n, far below 256 within the size bound.
+    rows = sorted(
+        (bytes(seq), c, *_insertion_row(seq))
+        for seq, c in a_infinity_image(n - 1)._terms.items()
+    )
+    size = len(rows[0][0])
+    keys = [int.from_bytes(row[0], "big") for row in rows]
+    # common[i]: the length of the common prefix of rows i - 1 and i, 0 at
+    # both ends.
+    common = [0, *(size - ((a ^ b).bit_length() + 7) // 8 for a, b in zip(keys, keys[1:])), 0]
+    new = bytes((n,))
+    # The open groups of rows that share a prefix, as (prefix length, first
+    # row), longest prefix last.  A row alone past the prefix it shares
+    # with a neighbour emits its insertions there.  A group closes after
+    # its last row and emits its insertions at each position j of its
+    # prefix that the group around it does not share, j descending.
+    groups = [(0, 0)]
+    for i, row in enumerate(rows):
+        yield _row_insertions(row, max(common[i], common[i + 1]), new)
+        first, after = i, common[i + 1]
+        while groups[-1][0] > after:
+            length, first = groups.pop()
+            for j in range(length - 1, max(after, groups[-1][0]) - 1, -1):
+                for k in range(first, i + 1, PSI_CHUNK):
+                    yield _position_insertions(rows[k : min(k + PSI_CHUNK, i + 1)], j, new)
+        if groups[-1][0] < after:
+            groups.append((after, first))
+
+
+def _blocks(n: int, parts: Iterator[list[tuple[bytes, int]]]) -> Iterator[list[tuple[bytes, int]]]:
+    """The terms of parts in blocks of ``PSI_CHUNK``, each checked to
+    increase strictly from the last term of the block before it."""
+    last = b""
+    block: list[tuple[bytes, int]] = []
+    for part in parts:
+        block += part
+        while len(block) >= PSI_CHUNK:
+            out = block[:PSI_CHUNK]
+            del block[:PSI_CHUNK]
+            last = _check_increasing(n, last, out)
+            yield out
+    if block:
+        _check_increasing(n, last, block)
+        yield block
+
+
+def _check_increasing(n: int, last: bytes, block: list[tuple[bytes, int]]) -> bytes:
+    """The last sequence of block, which must increase strictly from last."""
+    seqs = [last, *map(itemgetter(0), block)]
+    if not all(map(lt, seqs, seqs[1:])):
+        bad = next(b for a, b in zip(seqs, seqs[1:]) if a >= b)
+        raise RuntimeError(f"psi_{n} stream does not increase at {_seq_str(bad)}")
+    return seqs[-1]
+
+
+def _psi_blocks(n: int) -> Iterator[list[tuple[bytes, int]]]:
+    """The terms of ``a_infinity_image(n)`` in lexicographic order, in
+    blocks of at most ``PSI_CHUNK`` pairs ``(bytes(sequence), coefficient)``,
+    streamed from psi_{n-1} without building psi_n.
+
+    Raises ResourceBoundError on the call, before any work, like
     ``a_infinity_image``; the stream raises RuntimeError on a step that
     does not increase, which would mean two insertions coincide.
     """
     _check_image_size(n)
     if n == 2:
-        return iter(sorted(a_infinity_image(2)._terms.items()))
-    return _merged_insertions(n)
+        pairs = sorted((bytes(seq), c) for seq, c in a_infinity_image(2)._terms.items())
+        return _blocks(n, iter([pairs]))
+    return _blocks(n, _prefix_walk(n))
 
 
-def _merged_insertions(n: int) -> Iterator[tuple[Seq, int]]:
-    # Sequences merge as bytes, which order like the tuples: psi_n has
-    # values up to n, far below 256 within the size bound.
-    previous = sorted(a_infinity_image(n - 1)._terms.items())
-    rows = [(bytes(seq), c, *_insertion_row(seq)) for seq, c in previous]
-    new = bytes((n,))
-    streams = [_position_stream(rows, j, new) for j in range(2 * n - 4)]
-    last = b""
-    for seq, c in heapq.merge(*streams):
-        if seq <= last:
-            raise RuntimeError(f"psi_{n} stream does not increase at {_seq_str(seq)}")
-        last = seq
-        yield tuple(seq), c
+def a_infinity_terms(n: int) -> Iterator[tuple[Seq, int]]:
+    """The terms ``(sequence, coefficient)`` of ``a_infinity_image(n)`` in
+    lexicographic order: the blocks of ``_psi_blocks``, bound checked on
+    the call, with each sequence as a tuple."""
+    return ((tuple(seq), c) for block in _psi_blocks(n) for seq, c in block)
 
 
 def splice_decompositions(word: str) -> Iterator[tuple[str, str, int]]:

@@ -10,22 +10,17 @@ import argparse
 import dataclasses
 import json
 import sys
-from itertools import islice
 from typing import Optional
 
-from .ainfty import a_infinity_terms, word_image
+from .ainfty import _psi_blocks, word_image
 from .cacti import enumerate_basis, length_cap, prime_cacti
-from .elements import _term_str
+from .elements import _block_str
 from .errors import CactusOpsError
 from .formats import parse_element, parse_surjection, render_lobe_tree
 from .operad import boundary, compose
 from .suites import SUITE_NAMES, SuiteConfig, default_max_arity, run_suites
 
 __all__ = ["main", "build_parser"]
-
-# Terms of psi written to stdout per write.
-PSI_CHUNK = 1024
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -97,13 +92,13 @@ def cmd_mu(args: argparse.Namespace) -> int:
 
 
 def cmd_psi(args: argparse.Namespace) -> int:
-    # Prints str(a_infinity_image(n)) without building it: sorted terms
-    # come from the stream, and their text goes out PSI_CHUNK terms at a time.
-    texts = (_term_str(seq, c) for seq, c in a_infinity_terms(args.arity))
+    # Prints str(a_infinity_image(n)) without building it: sorted blocks of
+    # terms come from the stream, and each goes out as one text.
     write = sys.stdout.write
     sep = ""
-    while chunk := list(islice(texts, PSI_CHUNK)):
-        write(sep + " ".join(chunk))
+    for block in _psi_blocks(args.arity):
+        write(sep)
+        write(_block_str(block))
         sep = " "
     write("\n")
     return 0

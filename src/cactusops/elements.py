@@ -10,8 +10,12 @@ argument of a basis-level map.  Terms are sorted lexicographically
 whenever an ordering is visible (iteration, serialization, equality of
 string forms); the string form sorts by ``bytes`` keys, which order like
 the tuples while every value is below 256.  The text of one term is
-``_term_str``'s alone, so a stream of sorted terms (``cactusops psi``)
-prints exactly like the element.
+``_term_str``'s.  ``_block_str`` writes a whole block of terms at once; it
+lays out blocks of one length, values up to 10 and coefficients +-1 in a
+few C-level steps and passes any other block to ``_term_str``, and
+``tests/test_elements.py::TestBlockText`` holds the two to the same text.
+So a stream of sorted terms (``cactusops psi``) prints exactly like the
+element.
 
 Every sum in the package goes through one in-place update, ``_accumulate``.
 ``Element.sum`` streams ``(coeff, Element)`` parts through it; the operad
@@ -68,6 +72,44 @@ def _term_str(seq: Seq, c: int) -> str:
     sign = "+" if c > 0 else "-"
     body = _seq_str(seq)
     return sign + body if c == 1 or c == -1 else f"{sign}{_digits(abs(c))}*{body}"
+
+
+# Byte value v to its digit for 1 <= v <= 9, and 10 to ':', the byte
+# after '9', which stands for "10" until the text is finished; any other
+# value to '?'.
+_DIGIT_BYTES = (b"?" + bytes(range(ord("1"), ord(":") + 1))).ljust(256, b"?")
+_SIGN_BYTES = {1: ord("+"), -1: ord("-")}
+
+
+def _block_str(block: list[tuple[bytes, int]]) -> str:
+    """The texts of the terms ``(bytes(sequence), coefficient)`` of block,
+    joined by spaces: exactly ``" ".join(_term_str(...))``.
+
+    When every sequence has one nonzero length and values 1..10 and every
+    coefficient is +-1, the text is laid out in a few C-level steps: the
+    sequences are joined into one bytes object and translated to digits,
+    and each position of a "+(d,...,d) " template is filled by one strided
+    slice.  Any other block goes through ``_term_str`` term by term.
+    """
+    if not block:
+        return ""
+    seqs, coeffs = zip(*block)
+    size = len(seqs[0])
+    digits = b"".join(seqs).translate(_DIGIT_BYTES)
+    if not (
+        size
+        and set(map(len, seqs)) == {size}
+        and b"?" not in digits
+        and set(coeffs) <= {1, -1}
+    ):
+        return " ".join([_term_str(tuple(seq), c) for seq, c in block])
+    width = 2 * size + 3
+    text = bytearray(b"+(" + b"0," * (size - 1) + b"0) ") * len(block)
+    text[0::width] = bytes(map(_SIGN_BYTES.__getitem__, coeffs))
+    for k in range(size):
+        text[2 + 2 * k :: width] = digits[k::size]
+    del text[-1]
+    return text.decode("ascii").replace(":", "10")
 
 
 def _basis(seq: Seq) -> Surjection:

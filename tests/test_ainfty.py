@@ -28,7 +28,7 @@ from cactusops import (
 )
 
 import cactusops.ainfty as ainfty_module
-from cactusops.ainfty import _MAX_IMAGE_TERMS, _check_image_size, _insertion_half
+from cactusops.ainfty import _MAX_IMAGE_TERMS, _check_image_size, _insertion_half, _psi_blocks
 from conftest import ELIGIBLE_POOL, eligible_cacti, elements
 from oracles import naive_insertion
 
@@ -202,11 +202,26 @@ class TestStructureImage:
             raise AssertionError("work started before the size bound was checked")
 
         monkeypatch.setattr(ainfty_module, "a_infinity_image", no_work)
-        monkeypatch.setattr(ainfty_module, "_merged_insertions", no_work)
+        monkeypatch.setattr(ainfty_module, "_prefix_walk", no_work)
+        monkeypatch.setattr(ainfty_module, "_blocks", no_work)
         with pytest.raises(ResourceBoundError, match=r"arity 11: .* 68918850 terms"):
             a_infinity_terms(11)  # raises on the call, not on the first term
+        with pytest.raises(ResourceBoundError, match=r"arity 11: .* 68918850 terms"):
+            _psi_blocks(11)
         with pytest.raises(ValueError, match="arity 1"):
             a_infinity_terms(1)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_stream_blocks_are_capped(self, monkeypatch, chunk):
+        # psi_7 comes from the 210 rows of psi_6, 105 of them starting with
+        # 1 and 105 with 2: each half's insertions at position 0 form one
+        # run of 105 terms, which blocks below that size must slice.
+        monkeypatch.setattr(ainfty_module, "PSI_CHUNK", chunk)
+        blocks = list(_psi_blocks(7))
+        assert all(len(block) == chunk for block in blocks[:-1])
+        assert 1 <= len(blocks[-1]) <= chunk
+        flat = [(tuple(seq), c) for block in blocks for seq, c in block]
+        assert flat == sorted(a_infinity_image(7)._terms.items())
 
     @pytest.mark.parametrize(
         "mutation",
@@ -220,7 +235,9 @@ class TestStructureImage:
     )
     def test_stream_rejects_coinciding_insertions(self, monkeypatch, mutation):
         monkeypatch.setattr(
-            ainfty_module, "_position_stream", mutation(ainfty_module._position_stream)
+            ainfty_module,
+            "_position_insertions",
+            mutation(ainfty_module._position_insertions),
         )
         with pytest.raises(RuntimeError, match="psi_6 stream does not increase"):
             list(a_infinity_terms(6))
@@ -271,6 +288,14 @@ class TestBoundaryImages:
     def test_morphism_structure_map(self):
         for n in range(3, 6):
             assert boundary(a_infinity_image(n)) == a_infinity_boundary_image(n)
+
+    def test_word_boundary_images_sum_to_the_structure_boundary(self):
+        # The splice decompositions of the arity-n words are those of the
+        # structure map, word by word, so the word boundary images add up
+        # to its boundary image: arity n can be checked one word at a time.
+        for n in range(3, 8):
+            total = Element.sum((1, word_boundary_image(w)) for w in all_words(n))
+            assert total == a_infinity_boundary_image(n), n
 
 
 class TestPropositionChecks:

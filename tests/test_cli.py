@@ -26,8 +26,7 @@ class TestComputationCommands:
         assert out == "+(1,3,1,2) -(2,1,3,1)\n"
 
     def test_psi_prints_the_image_in_chunks(self, capsys):
-        from cactusops.ainfty import a_infinity_image
-        from cactusops.cli import PSI_CHUNK
+        from cactusops.ainfty import PSI_CHUNK, a_infinity_image
 
         assert len(a_infinity_image(8)) > 3 * PSI_CHUNK  # psi_8 spans several chunks
         for n in range(2, 9):
@@ -87,10 +86,16 @@ class TestComputationCommands:
         def no_work(*args):
             raise AssertionError("work started before the size bound was checked")
 
-        monkeypatch.setattr(ainfty_module, "_insertion_half", no_work)
-        monkeypatch.setattr(ainfty_module, "_insertion_row", no_work)
-        monkeypatch.setattr(ainfty_module, "_merged_insertions", no_work)
-        monkeypatch.setattr(ainfty_module, "_position_stream", no_work)
+        for name in (
+            "_insertion_half",
+            "_insertion_row",
+            "_prefix_walk",
+            "_position_insertions",
+            "_row_insertions",
+            "_blocks",
+        ):
+            monkeypatch.setattr(ainfty_module, name, no_work)
+        monkeypatch.setattr(cli_module, "_block_str", no_work)
         code, out, err = run(capsys, "psi", "11")
         assert code == 2
         assert out == ""
@@ -98,8 +103,14 @@ class TestComputationCommands:
 
     @pytest.mark.parametrize(
         "suite, max_arity, arity",
-        [("ainf", 11, 11), ("a2inf", 11, 11), ("mupartial", 10, 11), ("mupartial", 40, 41)],
-        ids=["ainf-11", "a2inf-11", "mupartial-10", "mupartial-40"],
+        [
+            ("ainf", 11, 11),
+            ("a2inf", 11, 11),
+            ("mupartial", 10, 11),
+            ("mupartial", 40, 41),
+            ("cprime-count", 11, 11),
+        ],
+        ids=["ainf-11", "a2inf-11", "mupartial-10", "mupartial-40", "cprime-count-11"],
     )
     def test_verify_above_bound_exits_two_before_work(
         self, capsys, monkeypatch, suite, max_arity, arity
@@ -111,12 +122,27 @@ class TestComputationCommands:
         def no_work(*args):
             raise AssertionError("work started before the size bound was checked")
 
-        for name in ("a_infinity_image", "boundary", "word_image", "all_words"):
+        for name in ("a_infinity_image", "boundary", "word_image", "all_words", "prime_cacti"):
             monkeypatch.setattr(suites_module, name, no_work)
         code, out, err = run(capsys, "verify", suite, "--max-arity", str(max_arity))
         assert code == 2
         assert out == ""
         assert f"arity {arity}:" in err and f"{prime_cacti_count(arity)} terms" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_verify_all_checks_every_bound_before_any_suite(self, capsys, monkeypatch, flags):
+        # At --max-arity 10 only mupartial, which reaches arity 11, is over
+        # the bound; it runs seventh, yet no suite may run first.
+        import cactusops.suites as suites_module
+
+        def no_work(*args):
+            raise AssertionError("a suite ran before every size bound was checked")
+
+        monkeypatch.setattr(suites_module, "run_suite", no_work)
+        code, out, err = run(capsys, "verify", "all", "--max-arity", "10", *flags)
+        assert code == 2
+        assert out == ""
+        assert "arity 11:" in err and "68918850 terms" in err
 
     def test_long_coefficients_print_exactly(self, capsys):
         # (10**3000 - 1)**2 has 6,000 digits, past str()'s default limit of 4,300.

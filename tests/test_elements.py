@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from cactusops import (
     white_op,
 )
 
+from cactusops.elements import _block_str, _term_str
 from conftest import elements, surjections
 
 
@@ -147,3 +150,61 @@ class TestApplyLinear:
             E(1, 2).apply_linear(lambda u: E(2, 1).apply_linear(explode))
         assert (info.value.line, info.value.column) == (3, 7)
         assert str(info.value) == "bad token (line 3, column 7) [at basis term (2,1)]"
+
+
+class TestBlockText:
+    """``_block_str`` prints a block exactly as ``_term_str`` prints its terms."""
+
+    @staticmethod
+    def expected(block):
+        return " ".join(_term_str(tuple(seq), c) for seq, c in block)
+
+    @staticmethod
+    def random_block(rng, count, size, top=10, coeffs=(1, -1)):
+        return [
+            (bytes(rng.randint(1, top) for _ in range(size)), rng.choice(coeffs))
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("count", [1, 2, 17, 1000])
+    def test_unit_blocks_match_term_text(self, count):
+        rng = random.Random(f"block-text:{count}")
+        for size in (1, 2, 5, 16, 18):
+            block = self.random_block(rng, count, size)
+            assert self.expected(block) == _block_str(block), (count, size)
+
+    def test_values_and_signs_are_all_covered(self):
+        rng = random.Random("block-text:cover")
+        block = self.random_block(rng, 1000, 18)
+        assert set(b"".join(seq for seq, _ in block)) == set(range(1, 11))
+        assert {c for _, c in block} == {1, -1}
+        assert _block_str(block) == self.expected(block)
+        assert "(10," in _block_str(block) and ",10)" in _block_str(block)
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            [(b"\x01\x02", 3), (b"\x02\x01", -1)],  # coefficient other than +-1
+            [(b"\x01\x02", -12), (b"\x02\x01", 1)],
+            [(b"\x01\x02\x01", 1), (b"\x02\x01", -1)],  # lengths differ
+            [(b"\x01\x02", 1), (b"\x02\x0b", -1)],  # value 11
+            [(b"\x01\xff", 1)],  # value 255
+            [(b"\x00\x02", 1)],  # value 0
+            [(b"", 1)],
+            [],
+        ],
+    )
+    def test_other_blocks_print_term_by_term(self, block):
+        assert _block_str(block) == self.expected(block)
+
+    def test_seeded_mixed_blocks(self):
+        rng = random.Random("block-text:mixed")
+        for _ in range(200):
+            size = rng.randint(1, 12)
+            block = self.random_block(
+                rng, rng.randint(1, 40), size, top=rng.choice((9, 10, 11, 40)),
+                coeffs=rng.choice(((1, -1), (1, -1, 2), (-1,))),
+            )
+            if rng.random() < 0.2:
+                block.append((bytes([1] * (size + 1)), 1))
+            assert _block_str(block) == self.expected(block)
