@@ -29,8 +29,8 @@ Word images and structure maps are memoized with ``functools.cache``.
 The splice sums of the boundary images do cancel, and are streamed into
 ``Element.sum``, which adds each part into one dict in place.
 
-``a_infinity_terms`` streams psi_n term by term in lexicographic order,
-holding only psi_{n-1}, by one walk over the sorted terms u of psi_{n-1}.
+``_psi_blocks`` streams psi_n in lexicographic order, holding only
+psi_{n-1}, by one walk over the sorted terms u of psi_{n-1}.
 The insertion of the new top value n at 0-based position j is
 u~j = u[:j+1] + (n,) + u[j:].  Take the terms that share a prefix
 P = u[:p].  Their insertions at j >= p begin with P + (u[p],), those at
@@ -70,7 +70,6 @@ __all__ = [
     "black_op",
     "word_image",
     "a_infinity_image",
-    "a_infinity_terms",
     "splice_decompositions",
     "word_boundary_image",
     "a_infinity_boundary_image",
@@ -189,8 +188,11 @@ def word_image(word: str) -> Element:
 
     Memoized with ``functools.cache``; values are immutable, so they are
     shared by every caller.  ``word_image.cache_clear()`` frees them.
+    The word images of one arity partition the structure map, so a word
+    whose arity is over its bound is refused before any insertion.
     """
     letters = _letters(word)
+    _check_image_size(len(letters) + 1)
     if len(letters) == 1:
         return Element.single(Surjection(_BASE[letters]))
     body = word_image(letters[:-1])
@@ -331,13 +333,6 @@ def _psi_blocks(n: int) -> Iterator[list[tuple[bytes, int]]]:
     return _blocks(n, _prefix_walk(n))
 
 
-def a_infinity_terms(n: int) -> Iterator[tuple[Seq, int]]:
-    """The terms ``(sequence, coefficient)`` of ``a_infinity_image(n)`` in
-    lexicographic order: the blocks of ``_psi_blocks``, bound checked on
-    the call, with each sequence as a tuple."""
-    return ((tuple(seq), c) for block in _psi_blocks(n) for seq, c in block)
-
-
 def splice_decompositions(word: str) -> Iterator[tuple[str, str, int]]:
     """All ``(outer, inner, slot)`` such that putting the inner word into
     that slot of the outer word spells word, both factors of arity >= 2."""
@@ -400,23 +395,22 @@ def check_top_insertion_identities(u: Surjection) -> VerificationReport:
     _top_index(u.seq)  # eligibility
     n, k = u.arity, u.degree
     sign = -1 if k % 2 else 1
-    eu = as_element(u)
     s121 = Surjection((1, 2, 1))
     s21 = Surjection((2, 1))
     s12 = Surjection((1, 2))
 
     sides = {
         "insertion-vs-121": (
-            white_op(eu) - black_op(eu),
-            sign * compose(s121, 1, eu) - compose(eu, n, as_element(s121)),
+            white_op(u) - black_op(u),
+            sign * compose(s121, 1, u) - compose(u, n, s121),
         ),
         "white-boundary": (
-            boundary(white_op(eu)) - white_op(boundary(eu)),
-            sign * (compose(s21, 1, eu) - compose(eu, n, as_element(s21))),
+            boundary(white_op(u)) - white_op(boundary(u)),
+            sign * (compose(s21, 1, u) - compose(u, n, s21)),
         ),
         "black-boundary": (
-            boundary(black_op(eu)) - black_op(boundary(eu)),
-            sign * (compose(s12, 1, eu) - compose(eu, n, as_element(s12))),
+            boundary(black_op(u)) - black_op(boundary(u)),
+            sign * (compose(s12, 1, u) - compose(u, n, s12)),
         ),
     }
     return sides_report(f"top-insertion[{u}]", sides)
@@ -438,14 +432,13 @@ def check_insertion_composition(
     if not 1 <= i <= p:
         raise OutOfRangeError(f"slot {i} not in 1..{p}")
     sign = -1 if ell % 2 else 1
-    e1, e2 = as_element(u1), as_element(u2)
-    composed = compose(e1, i, e2)
+    composed = compose(u1, i, u2)
 
     sides = {}
     for name, op in (("white", white_op), ("black", black_op)):
-        rhs = sign * compose(op(e1), i, e2)
+        rhs = sign * compose(op(u1), i, u2)
         if i == p:
-            rhs = rhs + compose(e1, p, op(e2))
+            rhs = rhs + compose(u1, p, op(u2))
         sides[name] = (op(composed), rhs)
     return sides_report(f"insertion-composition[{u1},{i},{u2}]", sides)
 

@@ -37,7 +37,6 @@ __all__ = [
     "LobeTree",
     "lobe_tree",
     "enumerate_basis",
-    "iter_basis",
     "prime_cacti",
     "prime_cacti_filtered",
     "prime_cacti_count",
@@ -140,16 +139,6 @@ def lobe_tree(u: Surjection) -> LobeTree:
     return build(seq[0])
 
 
-def _basis_size(n: int, k: int, level: Optional[int]) -> int:
-    if n < 1 or k < 0 or (level is not None and level < 1):
-        raise ValueError(f"need arity >= 1, degree >= 0, level >= 1; got {n}, {k}, {level}")
-    cap = length_cap()
-    size = n + k
-    if size > cap:
-        raise ResourceBoundError(f"length {size} exceeds cap {cap}")
-    return size
-
-
 def _shapes(n: int, size: int, level: Optional[int]) -> Iterator[tuple[int, ...]]:
     """Shapes of one length within the stage, in lexicographic order.
 
@@ -218,30 +207,18 @@ def _sequences(n: int, size: int, level: Optional[int]) -> Iterator[tuple[int, .
         yield from map(itemgetter(*(v - 1 for v in shape)), permutations(values))
 
 
-def iter_basis(n: int, k: int, level: Optional[int] = 2) -> Iterator[Surjection]:
-    """Lazily, the arity-n, degree-k surjections within a filtration stage.
-
-    The order is shape-major and **not** lexicographic: each shape (values
-    first appearing in the order 1, 2, ..., n) is followed by its n!
-    relabellings, in the order of ``itertools.permutations``.  Arguments are
-    checked when this is called, not on the first ``next()``: ValueError
-    for n < 1, k < 0 or level < 1, and ResourceBoundError when n + k
-    exceeds the length cap.  ``level=None`` enumerates the full basis.
-    """
-    size = _basis_size(n, k, level)
-    return (Surjection._unchecked(seq, n, k) for seq in _sequences(n, size, level))
-
-
 def enumerate_basis(n: int, k: int, level: Optional[int] = 2) -> list[Surjection]:
     """All arity-n, degree-k surjections within a filtration stage, sorted.
 
-    The same elements as ``iter_basis``, in lexicographic order; the same
-    arguments and errors.  Renaming the values by a permutation preserves
-    adjacent repeats, surjectivity and every pair-alternation count, and a
-    sequence is the relabelling of exactly one shape (rename its values by
-    order of first appearance), so shapes times permutations are the basis.
+    ``level=None`` enumerates the full basis, as shapes times relabellings
+    (see the module docstring).  Raises ValueError for n < 1, k < 0 or
+    level < 1, and ResourceBoundError when n + k exceeds the length cap.
     """
-    size = _basis_size(n, k, level)
+    if n < 1 or k < 0 or (level is not None and level < 1):
+        raise ValueError(f"need arity >= 1, degree >= 0, level >= 1; got {n}, {k}, {level}")
+    size = n + k
+    if size > (cap := length_cap()):
+        raise ResourceBoundError(f"length {size} exceeds cap {cap}")
     out: list = list(_sequences(n, size, level))
     out.sort()
     for i, seq in enumerate(out):

@@ -5,14 +5,12 @@ never stored.  An element is a plain dict keyed by the raw value sequence
 of each basis surjection, ``tuple[int, ...]``, so hashing and equality of
 terms run on tuples, in C.  ``Surjection`` objects appear only at the API
 boundary: ``terms()`` and ``support()`` rebuild them from the sequences,
-which are valid by construction, and so does ``apply_linear`` for the
-argument of a basis-level map.  Terms are sorted lexicographically
+which are valid by construction.  Terms are sorted lexicographically
 whenever an ordering is visible (iteration, serialization, equality of
-string forms); the string form sorts by ``bytes`` keys, which order like
-the tuples while every value is below 256.  The text of one term is
-``_term_str``'s.  ``_block_str`` writes a whole block of terms at once; it
-lays out blocks of one length, values up to 10 and coefficients +-1 in a
-few C-level steps and passes any other block to ``_term_str``, and
+string forms).  The text of one term is ``_term_str``'s.  ``_block_str``
+writes a whole block of terms at once; it lays out blocks of one length,
+values up to 10 and coefficients +-1 in a few C-level steps and passes
+any other block to ``_term_str``, and
 ``tests/test_elements.py::TestBlockText`` holds the two to the same text.
 So a stream of sorted terms (``cactusops psi``) prints exactly like the
 element.
@@ -116,17 +114,6 @@ def _basis(seq: Seq) -> Surjection:
     # The surjection of a stored sequence, which is valid by construction.
     n = max(seq)
     return Surjection._unchecked(seq, n, len(seq) - n)
-
-
-def _tagged(f: Callable[[Surjection], "Element"], u: Surjection) -> "Element":
-    """f(u); an exception keeps its identity and gains the term in its message."""
-    try:
-        return f(u)
-    except Exception as exc:
-        args = exc.args
-        if len(args) == 1 and isinstance(args[0], str) and "[at basis term " not in args[0]:
-            exc.args = (f"{args[0]} [at basis term {u}]",)
-        raise
 
 
 class Element:
@@ -235,24 +222,16 @@ class Element:
                 )
         return arity, size - arity
 
+    # No command calls this; it is kept because perfbench/tracer.py wraps it by name.
     def apply_linear(self, f: Callable[[Surjection], "Element"]) -> "Element":
-        """Extend the basis-level map f linearly: sum of coeff * f(term).
-
-        An exception raised by f propagates as the same object, its message
-        tagged once with the basis term it was raised at.
-        """
-        return Element.sum((c, _tagged(f, _basis(seq))) for seq, c in self._terms.items())
+        """Extend the basis-level map f linearly: sum of coeff * f(term)."""
+        return Element.sum((c, f(_basis(seq))) for seq, c in self._terms.items())
 
     def __str__(self) -> str:
         terms = self._terms
         if not terms:
             return "0"
-        try:
-            # Byte strings compare like the tuples when every value is below 256.
-            order = sorted(terms, key=bytes)
-        except ValueError:  # a value of 256 or more
-            order = sorted(terms)
-        return " ".join([_term_str(seq, terms[seq]) for seq in order])
+        return " ".join([_term_str(seq, terms[seq]) for seq in sorted(terms)])
 
     def __repr__(self) -> str:
         return f"Element({str(self)!r})"

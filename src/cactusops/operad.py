@@ -226,19 +226,19 @@ def check_operad_axioms(
         raise OutOfRangeError(f"j={j} not in 1..{arity_ab}")
 
     ab = compose_basis(a, i, b)
-    lhs = compose(ab, j, as_element(c))
+    lhs = compose(ab, j, c)
     sides = {}
     notes = []
 
     if j < i:
         swap = -1 if (b.degree % 2) and (c.degree % 2) else 1
-        rhs = swap * compose(compose_basis(a, j, c), i + c.arity - 1, as_element(b))
+        rhs = swap * compose(compose_basis(a, j, c), i + c.arity - 1, b)
         sides["relation1"] = (lhs, rhs)
     else:
         notes.append("relation1: not applicable")
 
     if i <= j < b.arity + i:
-        sides["relation2"] = (lhs, compose(as_element(a), i, compose_basis(b, j - i + 1, c)))
+        sides["relation2"] = (lhs, compose(a, i, compose_basis(b, j - i + 1, c)))
     else:
         notes.append("relation2: not applicable")
 
@@ -251,7 +251,5 @@ def check_derivation(a: Surjection, i: int, b: Surjection) -> VerificationReport
         raise OutOfRangeError(f"i={i} not in 1..{a.arity}")
     lhs = boundary(compose_basis(a, i, b))
     sign = -1 if a.degree % 2 else 1
-    rhs = compose(boundary_basis(a), i, as_element(b)) + sign * compose(
-        as_element(a), i, boundary_basis(b)
-    )
+    rhs = compose(boundary_basis(a), i, b) + sign * compose(a, i, boundary_basis(b))
     return equality_report(f"derivation[a={a},i={i},b={b}]", lhs, rhs)

@@ -13,7 +13,6 @@ from cactusops import (
     WordError,
     a_infinity_boundary_image,
     a_infinity_image,
-    a_infinity_terms,
     all_words,
     black_op,
     boundary,
@@ -39,6 +38,11 @@ def S(*values):
 
 def E(*values):
     return Element.single(Surjection(values))
+
+
+def psi_terms(n):
+    """The terms of ``_psi_blocks(n)`` in stream order, sequences as tuples."""
+    return [(tuple(seq), c) for block in _psi_blocks(n) for seq, c in block]
 
 
 def golden_rows():
@@ -186,7 +190,7 @@ class TestStructureImage:
 
     def test_stream_is_the_sorted_image(self):
         for n in range(2, 9):
-            assert list(a_infinity_terms(n)) == sorted(a_infinity_image(n)._terms.items()), n
+            assert psi_terms(n) == sorted(a_infinity_image(n)._terms.items()), n
 
     def test_stream_matches_the_oracle_recursion(self):
         # psi_n = white(psi_{n-1}) + black(psi_{n-1}), signs from the oracle alone.
@@ -195,7 +199,7 @@ class TestStructureImage:
             white, black = naive_insertion(psi, True), naive_insertion(psi, False)
             assert not white.keys() & black.keys()
             psi = {**white, **black}
-            assert list(a_infinity_terms(n)) == sorted(psi.items()), n
+            assert psi_terms(n) == sorted(psi.items()), n
 
     def test_stream_refuses_above_bound_before_work(self, monkeypatch):
         def no_work(*args):
@@ -205,11 +209,9 @@ class TestStructureImage:
         monkeypatch.setattr(ainfty_module, "_prefix_walk", no_work)
         monkeypatch.setattr(ainfty_module, "_blocks", no_work)
         with pytest.raises(ResourceBoundError, match=r"arity 11: .* 68918850 terms"):
-            a_infinity_terms(11)  # raises on the call, not on the first term
-        with pytest.raises(ResourceBoundError, match=r"arity 11: .* 68918850 terms"):
-            _psi_blocks(11)
+            _psi_blocks(11)  # raises on the call, not on the first block
         with pytest.raises(ValueError, match="arity 1"):
-            a_infinity_terms(1)
+            _psi_blocks(1)
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_stream_blocks_are_capped(self, monkeypatch, chunk):
@@ -240,7 +242,7 @@ class TestStructureImage:
             mutation(ainfty_module._position_insertions),
         )
         with pytest.raises(RuntimeError, match="psi_6 stream does not increase"):
-            list(a_infinity_terms(6))
+            psi_terms(6)
 
     def test_sign_lookup(self):
         assert a_infinity_image(3).coefficient(S(1, 3, 1, 2)) == 1

@@ -14,7 +14,6 @@ from cactusops import (
     compose,
     enumerate_basis,
     is_cactus,
-    iter_basis,
     length_cap,
     lobe_tree,
     prime_cacti,
@@ -22,6 +21,7 @@ from cactusops import (
     prime_cacti_filtered,
 )
 
+import cactusops.cacti as cacti_module
 from conftest import cacti, surjections
 from oracles import (
     brute_force_sequences,
@@ -138,7 +138,6 @@ class TestEnumerateBasis:
                 ]
                 got = enumerate_basis(n, k, level)
                 assert [u.seq for u in got] == expected, (n, k, level)
-                assert sorted(iter_basis(n, k, level), key=lambda u: u.seq) == got
 
     def test_stage_two_counts_closed_form(self):
         # n! labellings of the lobe trees on n lobes in which each of the k
@@ -157,7 +156,7 @@ class TestEnumerateBasis:
             for k in range(0, n + 1):
                 assert len(enumerate_basis(n, k, 2)) == count(n, k), (n, k)
         assert count(7, 6) == 665_280
-        assert sum(1 for _ in iter_basis(7, 6, 2)) == 665_280
+        assert sum(1 for _ in cacti_module._sequences(7, 13, 2)) == 665_280  # counted lazily
 
     def test_full_basis_counts_closed_form(self):
         # Inclusion-exclusion over the values left out: j * (j-1)^(L-1)
@@ -172,10 +171,14 @@ class TestEnumerateBasis:
                 assert len(enumerate_basis(n, k, None)) == expected, (n, k)
 
     def test_resource_bound(self, monkeypatch):
-        with pytest.raises(ResourceBoundError):
-            iter_basis(3, 20, None)
+        with pytest.raises(ResourceBoundError, match="length 23 exceeds cap 14"):
+            enumerate_basis(3, 20, None)
         monkeypatch.setenv("CACTUS_MAX_LEN", "30")
-        assert len(next(iter_basis(3, 20, None))) == 23
+        # The length-23 basis is far too large to list: enumerate one sequence.
+        first = next(cacti_module._sequences(3, 23, None))
+        assert len(first) == 23
+        monkeypatch.setattr(cacti_module, "_sequences", lambda n, size, level: iter([first]))
+        assert enumerate_basis(3, 20, None) == [Surjection(first)]
 
     def test_length_cap_env(self, monkeypatch):
         monkeypatch.setenv("CACTUS_MAX_LEN", "4")

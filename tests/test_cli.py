@@ -1,5 +1,8 @@
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +56,22 @@ class TestComputationCommands:
         code, out, _ = run(capsys, "mu", "bw")
         assert code == 0
         assert out == "+(1,3,1,2)\n"
+
+    @pytest.mark.parametrize("word, arity", [("wbwbwbwbwb", 11), ("wbwbwbwbwbw", 12)])
+    def test_mu_above_size_bound_exits_two_before_work(self, capsys, monkeypatch, word, arity):
+        # The images of the arity-n words partition psi_n, so a word is
+        # refused when psi_n would be, before any insertion.
+        import cactusops.ainfty as ainfty_module
+        from cactusops.cacti import prime_cacti_count
+
+        def no_work(*args):
+            raise AssertionError("work started before the size bound was checked")
+
+        monkeypatch.setattr(ainfty_module, "_insertion_half", no_work)
+        code, out, err = run(capsys, "mu", word)
+        assert code == 2
+        assert out == ""
+        assert f"arity {arity}:" in err and f"{prime_cacti_count(arity)} terms" in err
 
     def test_compose(self, capsys):
         code, out, _ = run(capsys, "compose", "(1,2)", "1", "(1,2)")
@@ -291,6 +310,34 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert "witness" in out
+
+
+class TestReadmeExamples:
+    """Every ``$ cactusops ...`` line of README.md's sh blocks prints the
+    lines that follow it there."""
+
+    @staticmethod
+    def examples():
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        out = []
+        for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+            printed = None
+            for line in block.splitlines():
+                if line.startswith("$ "):
+                    printed = []
+                    out.append((line, printed))
+                elif printed is not None:
+                    printed.append(line)
+        return out
+
+    def test_examples_print_what_the_readme_shows(self, capsys):
+        examples = self.examples()
+        assert examples and all(line.startswith("$ cactusops ") for line, _ in examples)
+        printed = []
+        for line, _ in examples:
+            code, out, err = run(capsys, *shlex.split(line, comments=True)[2:])
+            printed.append((line, out.splitlines() if code == 0 else [f"exit {code}: {err}"]))
+        assert printed == examples
 
 
 class TestReportContract:
