@@ -30,7 +30,9 @@ The splice sums of the boundary images do cancel, and are streamed into
 ``Element.sum``, which adds each part into one dict in place.
 
 ``_psi_blocks`` streams psi_n in lexicographic order, holding only
-psi_{n-1}, by one walk over the sorted terms u of psi_{n-1}.
+psi_{n-1}, by one walk over the sorted terms u of psi_{n-1}, which the
+same stream yields one arity down from psi_2: nothing is sorted and no
+dict is built.
 The insertion of the new top value n at 0-based position j is
 u~j = u[:j+1] + (n,) + u[j:].  Take the terms that share a prefix
 P = u[:p].  Their insertions at j >= p begin with P + (u[p],), those at
@@ -46,7 +48,8 @@ terms, and each block must increase strictly from the last term before
 it: an equal step would be two coinciding insertions, and raises.
 
 The support of the arity-n structure map is the set of prime cacti, so
-its size 2(2n-5)!! is known before any work; structure maps above
+its size 2(2n-5)!! is known before any work, and so is a bound on its
+differential; structure maps, or differentials of them, above
 ``_MAX_IMAGE_TERMS`` terms are refused up front with ``ResourceBoundError``.
 """
 
@@ -199,14 +202,25 @@ def word_image(word: str) -> Element:
     return white_op(body) if letters[-1] == WHITE else black_op(body)
 
 
-def _check_image_size(n: int) -> None:
-    """Refuse, before any work, an arity below 2 or above the bound."""
+def _check_image_size(n: int, differential: bool = False) -> None:
+    """Refuse, before any work, an arity below 2 or above the bound.
+
+    psi_n has 2(2n-5)!! terms, its prime cacti.  With ``differential`` the
+    bound is on d(psi_n) before it cancels: a term of length 2n-2 has at
+    most 2n-3 deletions, as its top value occurs once, so that is
+    (2n-3) * 2(2n-5)!! terms, the prime cacti one arity up.
+    """
     if n < 2:
         raise ValueError(f"arity {n} has no generator words")
-    if (count := prime_cacti_count(n)) > _MAX_IMAGE_TERMS:
+    cap = 10**100  # a count is quoted in full up to here, and the work stays bounded
+    count = prime_cacti_count(n + 1 if differential else n, cap)
+    if count > _MAX_IMAGE_TERMS:
+        what = "structure map has"
+        if differential:
+            what = "differential of the structure map has up to"
+        size = "over 10**100" if count > cap else count
         raise ResourceBoundError(
-            f"arity {n}: the structure map has {count} terms, "
-            f"more than the bound of {_MAX_IMAGE_TERMS}"
+            f"arity {n}: the {what} {size} terms, more than the bound of {_MAX_IMAGE_TERMS}"
         )
 
 
@@ -261,12 +275,7 @@ def _row_insertions(
 def _prefix_walk(n: int) -> Iterator[list[tuple[bytes, int]]]:
     """The insertions into sorted psi_{n-1}, as lists whose concatenation
     is psi_n in order (see the module docstring); terms are bytes."""
-    # Sequences sort as bytes, which order like the tuples: psi_n has
-    # values up to n, far below 256 within the size bound.
-    rows = sorted(
-        (bytes(seq), c, *_insertion_row(seq))
-        for seq, c in a_infinity_image(n - 1)._terms.items()
-    )
+    rows = [(seq, c, *_insertion_row(seq)) for block in _psi_blocks(n - 1) for seq, c in block]
     size = len(rows[0][0])
     keys = [int.from_bytes(row[0], "big") for row in rows]
     # common[i]: the length of the common prefix of rows i - 1 and i, 0 at
@@ -320,16 +329,16 @@ def _check_increasing(n: int, last: bytes, block: list[tuple[bytes, int]]) -> by
 def _psi_blocks(n: int) -> Iterator[list[tuple[bytes, int]]]:
     """The terms of ``a_infinity_image(n)`` in lexicographic order, in
     blocks of at most ``PSI_CHUNK`` pairs ``(bytes(sequence), coefficient)``,
-    streamed from psi_{n-1} without building psi_n.
+    walked up from psi_2 holding only the rows of psi_{n-1}.
 
     Raises ResourceBoundError on the call, before any work, like
     ``a_infinity_image``; the stream raises RuntimeError on a step that
     does not increase, which would mean two insertions coincide.
     """
     _check_image_size(n)
+    # Terms are bytes, which sort like the tuples: within the bound, n < 256.
     if n == 2:
-        pairs = sorted((bytes(seq), c) for seq, c in a_infinity_image(2)._terms.items())
-        return _blocks(n, iter([pairs]))
+        return iter([[(bytes(_BASE[BLACK]), 1), (bytes(_BASE[WHITE]), 1)]])
     return _blocks(n, _prefix_walk(n))
 
 
@@ -370,7 +379,7 @@ def word_boundary_image(word: str) -> Element:
 def a_infinity_boundary_image(n: int) -> Element:
     """Image of the arity-n generator's boundary in the one-color setting:
     the same splice sum with both factors replaced by full structure maps."""
-    _check_image_size(n)
+    _check_image_size(n, differential=True)
 
     def parts() -> Iterator[tuple[int, Element]]:
         for p in range(2, n):

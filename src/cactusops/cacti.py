@@ -277,13 +277,15 @@ def prime_cacti_filtered(n: int) -> list[Surjection]:
     return [u for u in enumerate_basis(n, n - 2, 2) if avoids_prime_patterns(u)]
 
 
-def prime_cacti_count(n: int) -> int:
-    """Closed-form size 2*(2n-5)!! of the arity-n prime cacti."""
+def prime_cacti_count(n: int, cap: Optional[int] = None) -> int:
+    """Closed-form size 2*(2n-5)!! of the arity-n prime cacti.  With cap,
+    the product stops once it passes cap, so the work stays bounded at
+    any arity and a result above cap is only a lower bound."""
     if n < 2:
         raise ValueError(f"arity {n} has no prime cacti")
-    if n == 2:
-        return 2
     out = 2
-    for odd in range(2 * n - 5, 0, -2):
+    for odd in range(3, 2 * n - 4, 2):
         out *= odd
+        if cap is not None and out > cap:
+            break
     return out

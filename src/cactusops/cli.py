@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Exit codes: 0 success (or all checks verified), 1 verification failure,
-2 usage, parse or range error, resource bound, or a file that cannot be written.
+2 usage, parse or range error, resource bound, or output that cannot be
+written (a file, or a stdout whose reader has closed it).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Optional
 
@@ -192,7 +194,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone: exit 1 would read as a failed check.  Point
+        # stdout at devnull so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (CactusOpsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

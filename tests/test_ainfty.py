@@ -188,6 +188,19 @@ class TestStructureImage:
         with pytest.raises(ResourceBoundError, match=r"arity 14: .* 632468286450 terms"):
             a_infinity_image(14)
 
+    def test_boundary_bound_admits_arity_nine_and_refuses_ten(self, monkeypatch):
+        # A term of psi_n has at most 2n - 3 deletions, so d(psi_n) is bounded
+        # by (2n-3) * 2(2n-5)!!: 4,054,050 at arity 9, 68,918,850 at arity 10.
+        _check_image_size(9, differential=True)
+
+        def no_work(*args):
+            raise AssertionError("work started before the size bound was checked")
+
+        monkeypatch.setattr(ainfty_module, "a_infinity_image", no_work)
+        monkeypatch.setattr(ainfty_module, "compose", no_work)
+        with pytest.raises(ResourceBoundError, match=r"arity 10: the differential .* 68918850"):
+            a_infinity_boundary_image(10)
+
     def test_stream_is_the_sorted_image(self):
         for n in range(2, 9):
             assert psi_terms(n) == sorted(a_infinity_image(n)._terms.items()), n
@@ -236,10 +249,14 @@ class TestStructureImage:
         ids=["duplicated-insertion", "position-shifted-by-one"],
     )
     def test_stream_rejects_coinciding_insertions(self, monkeypatch, mutation):
+        # The walk feeds itself, so the mutant acts only on the insertions
+        # of the top value 6, into psi_5.
+        stream = ainfty_module._position_insertions
+        mutant = mutation(stream)
         monkeypatch.setattr(
             ainfty_module,
             "_position_insertions",
-            mutation(ainfty_module._position_insertions),
+            lambda rows, j, new: (mutant if new == bytes((6,)) else stream)(rows, j, new),
         )
         with pytest.raises(RuntimeError, match="psi_6 stream does not increase"):
             psi_terms(6)

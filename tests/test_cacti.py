@@ -217,6 +217,12 @@ class TestPrimeCacti:
         for n in range(3, 9):
             assert len(prime_cacti(n)) == prime_cacti_count(n)
 
+    def test_capped_count_stops_past_the_cap(self):
+        # Exact up to the cap; past it, the first partial product above it.
+        assert prime_cacti_count(12, cap=10**9) == prime_cacti_count(12) == 1_309_458_150
+        assert prime_cacti_count(12, cap=5_000_000) == prime_cacti_count(11) == 68_918_850
+        assert prime_cacti_count(10**12, cap=10**6) == prime_cacti_count(10) == 4_054_050
+
     def test_recursion_matches_filter_oracle(self):
         for n in range(2, 6):
             assert prime_cacti(n) == prime_cacti_filtered(n)

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cactusops
 import cactusops.cli as cli_module
 import cactusops.operad as operad_module
 from cactusops.cli import main
@@ -38,19 +42,20 @@ class TestComputationCommands:
             assert out == str(a_infinity_image(n)) + "\n", n
 
     def test_psi_never_builds_the_image_it_prints(self, capsys, monkeypatch):
+        # psi N is walked up from psi_2: no psi_k is built as a dict.
         import cactusops.ainfty as ainfty_module
 
-        build = ainfty_module.a_infinity_image
+        expected = str(ainfty_module.a_infinity_image(7)) + "\n"
 
-        def only_below_seven(n):
-            assert n < 7, f"psi {n} was built"
-            return build(n)
+        def no_dict(*args):
+            raise AssertionError("psi built a structure map as a dict")
 
-        monkeypatch.setattr(ainfty_module, "a_infinity_image", only_below_seven)
-        monkeypatch.setattr(cli_module, "a_infinity_image", only_below_seven, raising=False)
+        for name in ("a_infinity_image", "_insertion_half"):
+            monkeypatch.setattr(ainfty_module, name, no_dict)
+        monkeypatch.setattr(cli_module, "a_infinity_image", no_dict, raising=False)
         code, out, _ = run(capsys, "psi", "7")
         assert code == 0
-        assert out == str(build(7)) + "\n"
+        assert out == expected
 
     def test_mu(self, capsys):
         code, out, _ = run(capsys, "mu", "bw")
@@ -121,20 +126,23 @@ class TestComputationCommands:
         assert "arity 11" in err and "68918850" in err
 
     @pytest.mark.parametrize(
-        "suite, max_arity, arity",
+        "suite, max_arity, arity, counted",
         [
-            ("ainf", 11, 11),
-            ("a2inf", 11, 11),
-            ("mupartial", 10, 11),
-            ("mupartial", 40, 41),
-            ("cprime-count", 11, 11),
+            ("ainf", 10, 10, 11),
+            ("ainf", 11, 11, 12),
+            ("a2inf", 11, 11, 11),
+            ("mupartial", 10, 11, 11),
+            ("mupartial", 40, 41, 41),
+            ("cprime-count", 11, 11, 11),
         ],
-        ids=["ainf-11", "a2inf-11", "mupartial-10", "mupartial-40", "cprime-count-11"],
+        ids=["ainf-10", "ainf-11", "a2inf-11", "mupartial-10", "mupartial-40", "cprime-count-11"],
     )
     def test_verify_above_bound_exits_two_before_work(
-        self, capsys, monkeypatch, suite, max_arity, arity
+        self, capsys, monkeypatch, suite, max_arity, arity, counted
     ):
-        # mupartial checks each word through the images one arity up.
+        # mupartial checks each word through the images one arity up.  ainf
+        # is bounded by the deletions of psi_n, (2n-3) * 2(2n-5)!!, which
+        # is the prime cacti count one arity up.
         import cactusops.suites as suites_module
         from cactusops.cacti import prime_cacti_count
 
@@ -146,12 +154,12 @@ class TestComputationCommands:
         code, out, err = run(capsys, "verify", suite, "--max-arity", str(max_arity))
         assert code == 2
         assert out == ""
-        assert f"arity {arity}:" in err and f"{prime_cacti_count(arity)} terms" in err
+        assert f"arity {arity}:" in err and f"{prime_cacti_count(counted)} terms" in err
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_verify_all_checks_every_bound_before_any_suite(self, capsys, monkeypatch, flags):
-        # At --max-arity 10 only mupartial, which reaches arity 11, is over
-        # the bound; it runs seventh, yet no suite may run first.
+        # At --max-arity 10 mupartial, which reaches arity 11, is the first
+        # suite over the bound; it runs seventh, yet no suite may run first.
         import cactusops.suites as suites_module
 
         def no_work(*args):
@@ -163,12 +171,70 @@ class TestComputationCommands:
         assert out == ""
         assert "arity 11:" in err and "68918850 terms" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["psi", "10000000"],
+            ["psi", "1800"],
+            ["verify", "all", "--max-arity", "1800"],
+            ["mu", "w" * 2000],
+        ],
+        ids=["psi-10000000", "psi-1800", "verify-all-1800", "mu-2000-letters"],
+    )
+    def test_huge_arity_is_refused_in_bounded_work(self, capsys, argv):
+        # 2(2n-5)!! is counted only until it passes the bound's message cap,
+        # and never printed past it.  A budget of traced lines, not a timer,
+        # stops a size check that multiplies out every factor.
+        lines = 0
+
+        def budget(frame, event, arg):
+            nonlocal lines
+            lines += 1
+            if lines > 200_000:
+                raise AssertionError("the size check did unbounded work")
+            return budget
+
+        sys.settrace(budget)
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            sys.settrace(None)
+        assert (code, out) == (2, "")
+        assert "the structure map has over 10**100 terms, more than the bound" in err
+
     def test_long_coefficients_print_exactly(self, capsys):
         # (10**3000 - 1)**2 has 6,000 digits, past str()'s default limit of 4,300.
         nines = "+" + "9" * 3000 + "*(1,2)"
         code, out, err = run(capsys, "compose", nines, "1", nines)
         assert (code, err) == (0, "")
         assert out == "+" + "9" * 2999 + "8" + "0" * 2999 + "1" + "*(1,2,3)\n"
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [["psi", "3"], ["psi", "9"], ["cacti", "list", "6"], ["verify", "golden-table"]],
+        ids=["psi-3", "psi-9", "cacti-list-6", "verify-golden-table"],
+    )
+    def test_closed_stdout_exits_two_without_traceback(self, argv):
+        # A reader that has gone is output that cannot be written (exit 2),
+        # not a failed check (exit 1).  The read end is closed before the
+        # command starts, so its first write fails: for psi 3 that is the
+        # last flush of stdout.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(cactusops.__file__).resolve().parents[1]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cactusops", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(src)},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, b"")
 
 
 class TestCactiListing:
