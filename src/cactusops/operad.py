@@ -17,14 +17,17 @@ one product per block read off the suffix parities of the outer degrees.
 
 The one kernel, ``composition_splits``, yields ``(sequence, sign)``
 pairs, which ``compose_basis`` and ``compose`` add straight into the
-in-place accumulator of ``elements``, keyed by the raw sequence.  The
-relabelled outer blocks and their suffix parities depend only on the
-outer factor; ``compose`` visits the pairs outer-major, so a one-entry
-memo computes them once per outer term.  The inner factor's values
-shifted onto the new lobes and its recurrence prefix depend only on the
-inner term and the lobe; ``compose`` builds them once per inner term and
-hands them to the kernel on the inner factor itself, so they are dropped
-when the call returns.
+in-place accumulator of ``elements``, keyed by the raw sequence.
+``compose`` builds each factor once per call and hands it to the kernel
+on the term itself: an outer term's relabelled blocks and suffix
+parities (``_Outer``), an inner term's values shifted onto the new lobes
+and its recurrence prefix (``_Inner``).  A split's sign depends on the
+outer term only through r and the mask of its suffix parities, and on
+the inner term only through the parity bits of its r stretches: the sign
+is the parity of ``bits & mask``.  So an inner term lists its splits into
+r stretches once per r and signs them once per (r, mask), from the second
+outer term with that (r, mask) on, so that a key met once builds no
+table.  All of it is dropped when the call returns.
 
 The differential deletes one entry at a time; entries that are the only
 occurrence of their value are skipped, and deletions that would leave two
@@ -37,7 +40,6 @@ the same stream for a single term.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterator, Union
 
@@ -57,26 +59,29 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=1)
 def _outer_factor(vseq: Seq, t: int, n_inner: int) -> tuple[tuple[Seq, ...], tuple[int, ...]]:
     """The outer factor's share of every split of v o_t u.
 
     Returns the r + 1 stretches of v around the occurrences of t, with the
     values above t raised past the arity(u) - 1 new lobes, and the suffix
     parities: entry p is the parity of the summed degrees of the outer
-    blocks p, ..., r-1.  Those blocks tile v from the p-th occurrence of t
-    to its end, so the sum is the degree of v minus a prefix value.
+    blocks p, ..., r-1.  Those blocks tile the suffix of v from the p-th
+    occurrence of t, and a suffix's degree is its length minus its number
+    of distinct values.
     """
-    positions = [p for p, w in enumerate(vseq) if w == t]
-    prefix = recurrence_prefix(vseq)
-    parities = tuple((prefix[-1] - prefix[p]) & 1 for p in positions)
+    size = len(vseq)
     shift = n_inner - 1
+    lifted = tuple([s if s < t else s + shift for s in vseq])
     blocks = []
+    parities = []
     prev = 0
-    for p in positions + [len(vseq)]:
-        blocks.append(tuple(s if s < t else s + shift for s in vseq[prev:p]))
-        prev = p + 1
-    return tuple(blocks), parities
+    for p, w in enumerate(vseq):
+        if w == t:
+            blocks.append(lifted[prev:p])
+            parities.append((size - p - len(set(vseq[p:]))) & 1)
+            prev = p + 1
+    blocks.append(lifted[prev:])
+    return tuple(blocks), tuple(parities)
 
 
 def _inner_factor(useq: Seq, t: int) -> tuple[Seq, list[int]]:
@@ -85,51 +90,122 @@ def _inner_factor(useq: Seq, t: int) -> tuple[Seq, list[int]]:
     return tuple(s + t - 1 for s in useq), recurrence_prefix(useq)
 
 
+def _stretches(shifted: Seq, uprefix: list[int], r: int) -> Iterator[tuple[tuple[Seq, ...], int]]:
+    """Every split of the inner factor into r stretches, as ``(stretches,
+    bits)`` with bit p of bits the parity of stretch p's relative degree.
+
+    One split per breakpoints 0 = c_0 <= c_1 <= ... <= c_r = len(u) - 1:
+    stretch p is u[c_p .. c_{p+1}], both ends included.
+    """
+    last = len(shifted) - 1
+    for mids in combinations_with_replacement(range(last + 1), r - 1):
+        stretches = []
+        bits = start = 0
+        for p, stop in enumerate((*mids, last)):
+            stretches.append(shifted[start : stop + 1])
+            bits |= ((uprefix[stop] - uprefix[start]) & 1) << p
+            start = stop
+        yield tuple(stretches), bits
+
+
 class _Inner(Surjection):
     """An inner term of one ``compose`` call with its ``_inner_factor`` at
-    lobe t, built once per inner term so that no basis pair recomputes it."""
+    the call's lobe, built once per inner term so that no pair recomputes
+    it, and its split tables, built on first use."""
 
-    __slots__ = ("lobe", "factor")
+    __slots__ = ("factor", "stretches", "tables")
 
     @classmethod
     def _at(cls, seq: Seq, t: int, arity: int, degree: int) -> "_Inner":
         obj = cls._unchecked(seq, arity, degree)
-        object.__setattr__(obj, "lobe", t)
         object.__setattr__(obj, "factor", _inner_factor(seq, t))
+        object.__setattr__(obj, "stretches", {})
+        object.__setattr__(obj, "tables", {})
+        return obj
+
+    def table(self, parities: tuple[int, ...]) -> list[tuple[tuple[Seq, ...], int]]:
+        """The ``(stretches, sign)`` of every split against an outer term
+        with these suffix parities.
+
+        The splits into r = len(parities) stretches are listed once per r,
+        and signed once per parities, that is per (r, mask) with bit p of
+        mask the outer suffix parity p: the sign of the closed form in the
+        module docstring is the parity of ``bits & mask``.
+        """
+        table = self.tables.get(parities)
+        if table is None:
+            r = len(parities)
+            splits = self.stretches.get(r)
+            if splits is None:
+                splits = self.stretches[r] = list(_stretches(*self.factor, r))
+            mask = sum(parity << p for p, parity in enumerate(parities))
+            table = self.tables[parities] = [
+                (stretches, -1 if (bits & mask).bit_count() & 1 else 1) for stretches, bits in splits
+            ]
+        return table
+
+
+class _Outer(Surjection):
+    """An outer term of one ``compose`` call with its ``_outer_factor`` as
+    ``(first block, later blocks, suffix parities)``, built once per outer
+    term.  ``tabled`` is set when the splits against it come from the
+    inner terms' tables."""
+
+    __slots__ = ("factor", "tabled")
+
+    @classmethod
+    def _at(cls, seq: Seq, arity: int, degree: int, factor: tuple, tabled: bool) -> "_Outer":
+        obj = cls._unchecked(seq, arity, degree)
+        object.__setattr__(obj, "factor", factor)
+        object.__setattr__(obj, "tabled", tabled)
         return obj
 
 
 def composition_splits(v: Surjection, t: int, u: Surjection) -> Iterator[tuple[Seq, int]]:
     """All summands of v o_t u as ``(sequence, sign)`` pairs.
 
-    One summand per breakpoints 1 = j_0 <= j_1 <= ... <= j_r = len(u): the
-    p-th occurrence of t in v becomes the stretch u(j_{p-1}..j_p) shifted
-    onto lobes t.., and the sign is the Koszul sign of moving each such
-    inner block in front of the outer block that starts at its occurrence
-    and every later one.  No composite is degenerate, so none is dropped:
-    every stretch is a piece of a non-degenerate sequence, inner and outer
-    values differ, and two inner stretches are separated by the nonempty
-    stretch of v between two occurrences of t.
+    One summand per split of u into r stretches (see ``_stretches``; r is
+    the number of occurrences of t in v): the p-th occurrence of t becomes
+    stretch p shifted onto lobes t.., and the sign is the Koszul sign of
+    moving each inner stretch in front of the outer block that starts at
+    its occurrence and every later one.  No composite is degenerate, so
+    none is dropped: every stretch is a piece of a non-degenerate
+    sequence, inner and outer values differ, and two inner stretches are
+    separated by the nonempty stretch of v between two occurrences of t.
+
+    Within ``compose`` both factors come built, and when an earlier outer
+    term had the same suffix parities the splits come from the inner
+    term's table, so that only the concatenation is left.
     """
     if not 1 <= t <= v.arity:
         raise OutOfRangeError(f"lobe {t} not in 1..{v.arity}")
-    useq = u.seq
-    blocks, parities = _outer_factor(v.seq, t, u.arity)
-    head, tails = blocks[0], blocks[1:]
-    if type(u) is _Inner and u.lobe == t:
+    if type(v) is _Outer:
+        head, tails, parities = v.factor
         shifted, uprefix = u.factor
+        table = u.table(parities) if v.tabled else None
     else:
-        shifted, uprefix = _inner_factor(useq, t)
-    last = len(useq) - 1
-    # Breakpoints as 0-based positions of u: stretch p is u[c_p .. c_{p+1}].
-    for mids in combinations_with_replacement(range(last + 1), len(tails) - 1):
-        composite = head
-        odd = start = 0
-        for stop, tail, parity in zip((*mids, last), tails, parities):
-            composite += shifted[start : stop + 1] + tail
-            odd ^= (uprefix[stop] - uprefix[start]) & parity
-            start = stop
-        yield composite, -1 if odd else 1
+        blocks, parities = _outer_factor(v.seq, t, u.arity)
+        head, tails = blocks[0], blocks[1:]
+        shifted, uprefix = _inner_factor(u.seq, t)
+        table = None
+    if table is None:
+        # Splits used once are cheaper to build in place than to tabulate.
+        last = len(shifted) - 1
+        # Breakpoints as 0-based positions of u: stretch p is u[c_p .. c_{p+1}].
+        for mids in combinations_with_replacement(range(last + 1), len(tails) - 1):
+            composite = head
+            odd = start = 0
+            for stop, tail, parity in zip((*mids, last), tails, parities):
+                composite += shifted[start : stop + 1] + tail
+                odd ^= (uprefix[stop] - uprefix[start]) & parity
+                start = stop
+            yield composite, -1 if odd else 1
+    else:
+        for stretches, sign in table:
+            composite = head
+            for s, tail in zip(stretches, tails):
+                composite += s + tail
+            yield composite, sign
 
 
 def compose_basis(v: Surjection, t: int, u: Surjection) -> Element:
@@ -148,10 +224,19 @@ def compose(a: Union[Element, Surjection], t: int, b: Union[Element, Surjection]
         return Element.zero()
     if not 1 <= t <= bideg_a[0]:
         raise OutOfRangeError(f"lobe {t} not in 1..{bideg_a[0]}")
+    if bideg_b is None:
+        return Element.zero()
     inner = [(_Inner._at(seq, t, *bideg_b), c) for seq, c in eb._terms.items()]
+    # A table pays off only for suffix parities that an earlier outer term
+    # already had; with one stretch there is one split and no table.
+    seen = set()
     data: dict[Seq, int] = {}
     for seq, c1 in ea._terms.items():
-        u1 = Surjection._unchecked(seq, *bideg_a)
+        blocks, parities = _outer_factor(seq, t, bideg_b[0])
+        tabled = parities in seen
+        if len(parities) > 1:
+            seen.add(parities)
+        u1 = _Outer._at(seq, *bideg_a, (blocks[0], blocks[1:], parities), tabled)
         for u2, c2 in inner:
             _accumulate(data, composition_splits(u1, t, u2), c1 * c2)
     return Element._trusted(data)

@@ -202,13 +202,16 @@ def run_a2inf(cfg: SuiteConfig) -> list[VerificationReport]:
 
 
 def run_ainf(cfg: SuiteConfig) -> list[VerificationReport]:
+    # Arity 2 has no splice, so d(psi_2) = 0 is checked only when it is all
+    # that max_arity leaves.
+    low = min(3, cfg.max_arity)
     cases = [
         equality_report(
             f"ainf[arity={n}]", boundary(a_infinity_image(n)), a_infinity_boundary_image(n)
         )
-        for n in range(3, cfg.max_arity + 1)
+        for n in range(low, cfg.max_arity + 1)
     ]
-    return [_report("ainf.morphism", cases, f"arity 3..{cfg.max_arity}")]
+    return [_report("ainf.morphism", cases, f"arity {low}..{cfg.max_arity}")]
 
 
 def _unit_sum(terms: Iterable[Surjection]) -> Element:

@@ -377,6 +377,19 @@ class TestVerify:
         assert "FAIL" in out
         assert "witness" in out
 
+    def test_ainf_at_max_arity_two_checks_arity_two(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "verify", "ainf", "--max-arity", "2")
+        assert code == 0
+        assert out.splitlines()[1:] == ["PASS ainf.morphism (arity 2..2)"]
+        # A wrong splice sum in arity 2 must turn the check red.
+        import cactusops.suites as suites_module
+
+        psi2 = suites_module.a_infinity_image(2)
+        monkeypatch.setattr(suites_module, "a_infinity_boundary_image", lambda n: psi2)
+        code, out, _ = run(capsys, "verify", "ainf", "--max-arity", "2")
+        assert code == 1
+        assert "FAIL ainf.morphism" in out
+
 
 class TestReadmeExamples:
     """Every ``$ cactusops ...`` line of README.md's sh blocks prints the

@@ -19,7 +19,7 @@ from cactusops import (
 )
 
 from conftest import cacti, elements, surjections
-from oracles import brute_force_sequences, naive_boundary, naive_compose
+from oracles import brute_force_sequences, naive_boundary, naive_compose, naive_relative_degree
 
 
 def S(*values):
@@ -89,6 +89,39 @@ class TestComposeElements:
         mixed = E(1, 2) + E(1, 2, 1)
         with pytest.raises(NotHomogeneousError):
             compose(mixed, 1, E(1, 2))
+
+    def test_shared_split_tables_match_definition_oracle(self, rng):
+        # Outer terms meeting the lobe 1..4 times, two per pattern of outer
+        # suffix parities, so that the second of each pair reads a split
+        # table and tables of one r differ in their signs.
+        pool = list(enumerate_basis(3, 4, level=None))
+        chosen = set()
+        patterns = {}
+        for t in (1, 2):
+            groups = {}
+            for v in pool:
+                occurrences = [i + 1 for i, w in enumerate(v.seq) if w == t]
+                parities = tuple(
+                    naive_relative_degree(v.seq, o, len(v.seq)) % 2 for o in occurrences
+                )
+                groups.setdefault(parities, []).append(v)
+            patterns[t] = {p for p, members in groups.items() if len(members) > 1}
+            chosen.update(v for members in groups.values() for v in members[:2])
+        for t in (1, 2):
+            assert {len(p) for p in patterns[t]} == {1, 2, 3, 4}
+            for r in (1, 2, 3, 4):
+                assert {parity for p in patterns[t] if len(p) == r for parity in p} == {0, 1}
+        outer = [(v, rng.choice([-3, -2, -1, 1, 2, 3])) for v in sorted(chosen)]
+        inner = [(u, rng.choice([-2, -1, 1, 2])) for u in enumerate_basis(3, 1, level=None)[:5]]
+        a, b = Element(outer), Element(inner)
+        for t in (1, 2):  # one inner element at two lobes
+            want = {}
+            for v, c1 in outer:
+                for u, c2 in inner:
+                    for seq, sign in naive_compose(v.seq, t, u.seq).items():
+                        want[seq] = want.get(seq, 0) + c1 * c2 * sign
+            want = {seq: c for seq, c in want.items() if c}
+            assert {w.seq: c for w, c in compose(a, t, b).terms()} == want, t
 
     def test_zero_factor_gives_zero(self):
         assert compose(Element.zero(), 1, E(1, 2)) == Element.zero()
