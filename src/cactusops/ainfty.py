@@ -18,14 +18,16 @@ position j.  Summing word images over all words of one arity gives the
 arity-n component of the homotopy-associative structure whose binary part
 is the symmetrized product (1,2) + (2,1).
 
-Every insertion takes its sign from one rule, ``_insertion_row``; one
-kernel, ``_insertion_half``, writes the white, black or both insertions
-of an element into a dict in one pass over its terms.  Insertions never
-collide (see the kernel), so they are assigned, not summed; the same
-fact makes the word images of one arity partition the prime cacti, and
-since insertion is linear the structure map is built by recursion,
-psi_n = white(psi_{n-1}) + black(psi_{n-1}), in one pass per arity.
-Word images and structure maps are memoized with ``functools.cache``.
+Every insertion takes its sign from one rule, ``_insertion_row``.  One
+kernel, ``_insertion_half``, writes the white or the black insertions of
+an element into a dict in one pass over its terms; word images are
+folded from it.  Insertions never collide (see the kernel), so they are
+assigned, not summed; the same fact makes the word images of one arity
+partition the prime cacti.  Since insertion is linear, the structure map
+is psi_n = white(psi_{n-1}) + black(psi_{n-1}), and it has one builder:
+``_psi_blocks`` streams it in sorted order, and ``a_infinity_image`` is
+the dict of that stream.  Word images and structure maps are memoized
+with ``functools.cache``.
 The splice sums of the boundary images do cancel, and are streamed into
 ``Element.sum``, which adds each part into one dict in place.
 
@@ -140,49 +142,39 @@ def _insertion_row(seq: Seq) -> tuple[int, int]:
     return top, flips
 
 
-def _insertion_half(data: dict[Seq, int], colors: str, out: dict[Seq, int]) -> None:
-    """Write the insertion sums of ``data`` of the colors ``'w'``, ``'b'``
-    or ``'wb'`` into ``out``, in one pass over its terms.
+def _insertion_half(a: Union[Element, Surjection], color: str) -> Element:
+    """The insertion sum of ``a`` of the color ``'w'`` or ``'b'``, in one
+    pass over its terms.
 
     Each insertion is assigned, not added: u comes back from u~j by
     deleting the unique top value n+1 and one of the two equal neighbours
     it leaves, and a white term has n+1 before n, a black one after, so
-    no two insertions into one ``out`` share a sequence.  A collision
-    with a term already in ``out`` raises.
+    no two insertions of one color share a sequence.  A collision raises.
     """
-    start = len(out)
-    made = 0
-    for seq, c in data.items():
-        top, flips = _insertion_row(seq)
-        new = (seq[top] + 1,)
-        lo = 0 if WHITE in colors else top + 1
-        hi = len(seq) if BLACK in colors else top
-        made += hi - lo - (lo <= top < hi)
-        for j in range(lo, hi):
-            if j != top:
-                out[seq[: j + 1] + new + seq[j:]] = -c if flips >> j & 1 else c
-    if len(out) != start + made:
-        raise RuntimeError(
-            f"{made} insertions added {len(out) - start} terms: two insertions coincide"
-        )
-
-
-def _insertion(a: Union[Element, Surjection], color: str) -> Element:
     ea = as_element(a)
     ea.bidegree()
     out: dict[Seq, int] = {}
-    _insertion_half(ea._terms, color, out)
+    made = 0
+    for seq, c in ea._terms.items():
+        top, flips = _insertion_row(seq)
+        new = (seq[top] + 1,)
+        positions = range(top) if color == WHITE else range(top + 1, len(seq))
+        made += len(positions)
+        for j in positions:
+            out[seq[: j + 1] + new + seq[j:]] = -c if flips >> j & 1 else c
+    if len(out) != made:
+        raise RuntimeError(f"{made} insertions added {len(out)} terms: two insertions coincide")
     return Element._trusted(out)
 
 
 def white_op(a: Union[Element, Surjection]) -> Element:
     """Signed top-lobe insertions before the top lobe, extended linearly."""
-    return _insertion(a, WHITE)
+    return _insertion_half(a, WHITE)
 
 
 def black_op(a: Union[Element, Surjection]) -> Element:
     """Signed top-lobe insertions after the top lobe, extended linearly."""
-    return _insertion(a, BLACK)
+    return _insertion_half(a, BLACK)
 
 
 @cache
@@ -226,22 +218,16 @@ def _check_image_size(n: int, differential: bool = False) -> None:
 
 @cache
 def a_infinity_image(n: int) -> Element:
-    """Arity-n structure map: the sum of word images over all arity-n words.
+    """Arity-n structure map: the sum of word images over all arity-n words,
+    as the dict of the terms ``_psi_blocks(n)`` streams.
 
-    Insertion is linear and every arity-n word is an arity-(n-1) word
-    followed by 'w' or 'b', so psi_n = white(psi_{n-1}) + black(psi_{n-1}),
-    built from psi_2 = (1,2) + (2,1) by one kernel pass per arity.
-    Memoized with ``functools.cache`` like ``word_image``, so every psi_k
-    up to n stays until ``a_infinity_image.cache_clear()``.  Raises
-    ResourceBoundError, before any work, when the map would have more than
-    ``_MAX_IMAGE_TERMS`` terms.
+    Memoized with ``functools.cache`` like ``word_image``, so psi_n stays
+    until ``a_infinity_image.cache_clear()``.  Raises ResourceBoundError,
+    before any work, when the map would have more than
+    ``_MAX_IMAGE_TERMS`` terms, and RuntimeError where the stream does not
+    increase, so no term is overwritten.
     """
-    _check_image_size(n)
-    if n == 2:
-        return Element._trusted({_BASE[WHITE]: 1, _BASE[BLACK]: 1})
-    data: dict[Seq, int] = {}
-    _insertion_half(a_infinity_image(n - 1)._terms, WHITE + BLACK, data)
-    return Element._trusted(data)
+    return Element._trusted({tuple(seq): c for block in _psi_blocks(n) for seq, c in block})
 
 
 def _position_insertions(
@@ -327,13 +313,14 @@ def _check_increasing(n: int, last: bytes, block: list[tuple[bytes, int]]) -> by
 
 
 def _psi_blocks(n: int) -> Iterator[list[tuple[bytes, int]]]:
-    """The terms of ``a_infinity_image(n)`` in lexicographic order, in
-    blocks of at most ``PSI_CHUNK`` pairs ``(bytes(sequence), coefficient)``,
-    walked up from psi_2 holding only the rows of psi_{n-1}.
+    """The terms of psi_n in lexicographic order, in blocks of at most
+    ``PSI_CHUNK`` pairs ``(bytes(sequence), coefficient)``, walked up from
+    psi_2 = (1,2) + (2,1) holding only the rows of psi_{n-1}.
 
-    Raises ResourceBoundError on the call, before any work, like
-    ``a_infinity_image``; the stream raises RuntimeError on a step that
-    does not increase, which would mean two insertions coincide.
+    Raises ResourceBoundError on the call, before any work, when psi_n
+    would have more than ``_MAX_IMAGE_TERMS`` terms; the stream raises
+    RuntimeError on a step that does not increase, which would mean two
+    insertions coincide.
     """
     _check_image_size(n)
     # Terms are bytes, which sort like the tuples: within the bound, n < 256.

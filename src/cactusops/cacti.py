@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import permutations
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -243,7 +243,7 @@ def avoids_prime_patterns(u: Surjection) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@cache
 def _prime_cacti_cached(n: int) -> tuple[Surjection, ...]:
     if n == 2:
         return (Surjection((1, 2)), Surjection((2, 1)))
@@ -263,11 +263,17 @@ def prime_cacti(n: int) -> list[Surjection]:
     by inserting the new top lobe at any position other than the current
     top lobe; the list is sorted lexicographically.
     """
+    _check_prime_length(n)
+    return list(_prime_cacti_cached(n))
+
+
+def _check_prime_length(n: int) -> None:
+    """Refuse an arity below 2, or one whose prime cacti, of length 2n-2,
+    exceed the length cap."""
     if n < 2:
         raise ValueError(f"arity {n} has no prime cacti")
-    if 2 * n - 2 > length_cap():
-        raise ResourceBoundError(f"length {2 * n - 2} exceeds cap {length_cap()}")
-    return list(_prime_cacti_cached(n))
+    if 2 * n - 2 > (cap := length_cap()):
+        raise ResourceBoundError(f"length {2 * n - 2} exceeds cap {cap}")
 
 
 def prime_cacti_filtered(n: int) -> list[Surjection]:

@@ -27,6 +27,7 @@ from .ainfty import (
     word_image,
 )
 from .cacti import (
+    _check_prime_length,
     enumerate_basis,
     is_cactus,
     prime_cacti,
@@ -303,10 +304,13 @@ _IMAGE_ARITY_ABOVE_MAX = {
 
 
 def _check_suite_size(name: str, cfg: SuiteConfig) -> None:
-    """Refuse, before any work, a suite whose images exceed the bound."""
+    """Refuse, before any work, a suite whose images exceed the bound, or
+    whose prime cacti exceed the length cap."""
     if name in _IMAGE_ARITY_ABOVE_MAX:
         arity = cfg.max_arity + _IMAGE_ARITY_ABOVE_MAX[name]
         _check_image_size(arity, differential=name == "ainf")
+    if name == "cprime-count":
+        _check_prime_length(cfg.max_arity)
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> list[VerificationReport]:

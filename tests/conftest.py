@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from cactusops import Element, Surjection, enumerate_basis
+from cactusops import Element, Surjection, all_words, enumerate_basis, word_image
 
 # Pools of basis surjections used by sampled property tests.  Built once;
 # everything downstream is immutable.
@@ -37,6 +37,12 @@ def elements(draw, pool=SURJECTION_POOL, max_terms=4, homogeneous=False):
         )
     )
     return Element(terms)
+
+
+def word_image_sum(n):
+    """psi_n by the word-image route, which shares only the sign rule with
+    the sorted stream that builds it."""
+    return Element.sum((1, word_image(w)) for w in all_words(n))
 
 
 @pytest.fixture

@@ -27,8 +27,8 @@ from cactusops import (
 )
 
 import cactusops.ainfty as ainfty_module
-from cactusops.ainfty import _MAX_IMAGE_TERMS, _check_image_size, _insertion_half, _psi_blocks
-from conftest import ELIGIBLE_POOL, eligible_cacti, elements
+from cactusops.ainfty import _MAX_IMAGE_TERMS, _check_image_size, _psi_blocks
+from conftest import ELIGIBLE_POOL, eligible_cacti, elements, word_image_sum
 from oracles import naive_insertion
 
 
@@ -108,11 +108,13 @@ class TestInsertionOps:
     def test_matches_oracle_on_sampled_elements(self, a):
         assert_insertions_match_oracle(a)
 
-    def test_colliding_insertion_raises(self):
-        # An insertion that lands on a term already written is refused.
-        out = {(1, 3, 1, 2): 5}
-        with pytest.raises(RuntimeError, match="coincide"):
-            _insertion_half({(1, 2): 1}, "w", out)
+    def test_colliding_insertion_raises(self, monkeypatch):
+        # An insertion that lands on a term already written is refused.  A
+        # row that takes the last entry for the top inserts a copy of it,
+        # 2, so (1,3,1,2) gives (1,3,1,3,1,2) at positions 0 and 2.
+        monkeypatch.setattr(ainfty_module, "_insertion_row", lambda seq: (len(seq) - 1, 0))
+        with pytest.raises(RuntimeError, match="3 insertions added 2 terms"):
+            white_op(E(1, 3, 1, 2))
 
     @given(eligible_cacti)
     def test_new_lobe_sits_on_expected_side(self, u):
@@ -203,7 +205,7 @@ class TestStructureImage:
 
     def test_stream_is_the_sorted_image(self):
         for n in range(2, 9):
-            assert psi_terms(n) == sorted(a_infinity_image(n)._terms.items()), n
+            assert psi_terms(n) == sorted(word_image_sum(n)._terms.items()), n
 
     def test_stream_matches_the_oracle_recursion(self):
         # psi_n = white(psi_{n-1}) + black(psi_{n-1}), signs from the oracle alone.
@@ -236,7 +238,7 @@ class TestStructureImage:
         assert all(len(block) == chunk for block in blocks[:-1])
         assert 1 <= len(blocks[-1]) <= chunk
         flat = [(tuple(seq), c) for block in blocks for seq, c in block]
-        assert flat == sorted(a_infinity_image(7)._terms.items())
+        assert flat == sorted(word_image_sum(7)._terms.items())
 
     @pytest.mark.parametrize(
         "mutation",
@@ -250,7 +252,9 @@ class TestStructureImage:
     )
     def test_stream_rejects_coinciding_insertions(self, monkeypatch, mutation):
         # The walk feeds itself, so the mutant acts only on the insertions
-        # of the top value 6, into psi_5.
+        # of the top value 6, into psi_5.  a_infinity_image reads the same
+        # stream, so it raises rather than overwrite a term of its dict.
+        # psi_6 is dropped from the memo before and after each build.
         stream = ainfty_module._position_insertions
         mutant = mutation(stream)
         monkeypatch.setattr(
@@ -258,8 +262,13 @@ class TestStructureImage:
             "_position_insertions",
             lambda rows, j, new: (mutant if new == bytes((6,)) else stream)(rows, j, new),
         )
-        with pytest.raises(RuntimeError, match="psi_6 stream does not increase"):
-            psi_terms(6)
+        for build in (psi_terms, a_infinity_image):
+            a_infinity_image.cache_clear()
+            try:
+                with pytest.raises(RuntimeError, match="psi_6 stream does not increase"):
+                    build(6)
+            finally:
+                a_infinity_image.cache_clear()
 
     def test_sign_lookup(self):
         assert a_infinity_image(3).coefficient(S(1, 3, 1, 2)) == 1

@@ -13,6 +13,7 @@ import cactusops
 import cactusops.cli as cli_module
 import cactusops.operad as operad_module
 from cactusops.cli import main
+from conftest import word_image_sum
 
 
 def run(capsys, *argv):
@@ -33,19 +34,19 @@ class TestComputationCommands:
         assert out == "+(1,3,1,2) -(2,1,3,1)\n"
 
     def test_psi_prints_the_image_in_chunks(self, capsys):
-        from cactusops.ainfty import PSI_CHUNK, a_infinity_image
+        from cactusops.ainfty import PSI_CHUNK
 
-        assert len(a_infinity_image(8)) > 3 * PSI_CHUNK  # psi_8 spans several chunks
+        assert cactusops.prime_cacti_count(8) > 3 * PSI_CHUNK  # psi_8 spans several chunks
         for n in range(2, 9):
             code, out, _ = run(capsys, "psi", str(n))
             assert code == 0
-            assert out == str(a_infinity_image(n)) + "\n", n
+            assert out == str(word_image_sum(n)) + "\n", n
 
     def test_psi_never_builds_the_image_it_prints(self, capsys, monkeypatch):
         # psi N is walked up from psi_2: no psi_k is built as a dict.
         import cactusops.ainfty as ainfty_module
 
-        expected = str(ainfty_module.a_infinity_image(7)) + "\n"
+        expected = str(word_image_sum(7)) + "\n"
 
         def no_dict(*args):
             raise AssertionError("psi built a structure map as a dict")
@@ -160,16 +161,24 @@ class TestComputationCommands:
     def test_verify_all_checks_every_bound_before_any_suite(self, capsys, monkeypatch, flags):
         # At --max-arity 10 mupartial, which reaches arity 11, is the first
         # suite over the bound; it runs seventh, yet no suite may run first.
+        # At --max-arity 9 every structure map is within the bound, but the
+        # prime cacti that cprime-count lists, the last suite but one, have
+        # length 16, over the default cap of 14.
         import cactusops.suites as suites_module
 
         def no_work(*args):
             raise AssertionError("a suite ran before every size bound was checked")
 
         monkeypatch.setattr(suites_module, "run_suite", no_work)
-        code, out, err = run(capsys, "verify", "all", "--max-arity", "10", *flags)
-        assert code == 2
-        assert out == ""
-        assert "arity 11:" in err and "68918850 terms" in err
+        monkeypatch.delenv("CACTUS_MAX_LEN", raising=False)
+        for max_arity, message in (
+            ("10", "arity 11: .* 68918850 terms"),
+            ("9", "length 16 exceeds cap 14"),
+        ):
+            code, out, err = run(capsys, "verify", "all", "--max-arity", max_arity, *flags)
+            assert code == 2
+            assert out == ""
+            assert re.search(message, err), err
 
     @pytest.mark.parametrize(
         "argv",
