@@ -38,6 +38,14 @@ __all__ = ["Element", "as_element"]
 Seq = tuple[int, ...]
 
 
+def _coeff(c: object) -> int:
+    """c itself when it is an exact integer; a ``bool`` or any other type
+    raises ``TypeError``.  ``_accumulate`` takes its coefficients unchecked."""
+    if not isinstance(c, int) or isinstance(c, bool):
+        raise TypeError(f"coefficient {c!r} is not an int")
+    return c
+
+
 def _accumulate(data: dict[Seq, int], pairs: Iterable[tuple[Seq, int]], scale: int = 1) -> None:
     """Add scale * coeff to data[seq] for each (seq, coeff), in place.
 
@@ -123,9 +131,10 @@ class Element:
 
     def __init__(self, terms: Iterable[tuple[Surjection, int]] = ()):
         items = list(terms)
-        for u, _ in items:
+        for u, c in items:
             if not isinstance(u, Surjection):
                 raise TypeError(f"basis term {u!r} is not a Surjection")
+            _coeff(c)
         data: dict[Seq, int] = {}
         _accumulate(data, ((u.seq, c) for u, c in items))
         object.__setattr__(self, "_terms", data)
@@ -154,7 +163,7 @@ class Element:
         """
         data: dict[Seq, int] = {}
         for coeff, part in parts:
-            _accumulate(data, part._terms.items(), coeff)
+            _accumulate(data, part._terms.items(), _coeff(coeff))
         return cls._trusted(data)
 
     def __setattr__(self, name, value):
@@ -195,7 +204,7 @@ class Element:
         return self + (-other)
 
     def scale(self, c: int) -> "Element":
-        if c == 0:
+        if _coeff(c) == 0:
             return Element.zero()
         return Element._trusted({seq: c * k for seq, k in self._terms.items()})
 

@@ -17,17 +17,18 @@ one product per block read off the suffix parities of the outer degrees.
 
 The one kernel, ``composition_splits``, yields ``(sequence, sign)``
 pairs, which ``compose_basis`` and ``compose`` add straight into the
-in-place accumulator of ``elements``, keyed by the raw sequence.
-``compose`` builds each factor once per call and hands it to the kernel
-on the term itself: an outer term's relabelled blocks and suffix
-parities (``_Outer``), an inner term's values shifted onto the new lobes
-and its recurrence prefix (``_Inner``).  A split's sign depends on the
-outer term only through r and the mask of its suffix parities, and on
-the inner term only through the parity bits of its r stretches: the sign
-is the parity of ``bits & mask``.  So an inner term lists its splits into
-r stretches once per r and signs them once per (r, mask), from the second
-outer term with that (r, mask) on, so that a key met once builds no
-table.  All of it is dropped when the call returns.
+in-place accumulator of ``elements``, keyed by the raw sequence.  It reads
+each factor from a plain record: an outer term's relabelled blocks and
+suffix parities (``_Outer``), an inner term's values shifted onto the new
+lobes, its recurrence prefix and its split tables (``_Inner``).
+``compose`` builds one record per term and call; a lone pair of
+surjections gets its two records built on the spot.  A split's sign
+depends on the outer term only through r and the mask of its suffix
+parities, and on the inner term only through the parity bits of its r
+stretches: the sign is the parity of ``bits & mask``.  So an inner term
+lists its splits into r stretches once per r and signs them once per
+(r, mask), and every composite is concatenated from that table.  All of
+it is dropped when the call returns.
 
 The differential deletes one entry at a time; entries that are the only
 occurrence of their value are skipped, and deletions that would leave two
@@ -84,12 +85,6 @@ def _outer_factor(vseq: Seq, t: int, n_inner: int) -> tuple[tuple[Seq, ...], tup
     return tuple(blocks), tuple(parities)
 
 
-def _inner_factor(useq: Seq, t: int) -> tuple[Seq, list[int]]:
-    """The inner factor's share of every split of v o_t u: the values of u
-    raised onto lobes t.., and its recurrence prefix."""
-    return tuple(s + t - 1 for s in useq), recurrence_prefix(useq)
-
-
 def _stretches(shifted: Seq, uprefix: list[int], r: int) -> Iterator[tuple[tuple[Seq, ...], int]]:
     """Every split of the inner factor into r stretches, as ``(stretches,
     bits)`` with bit p of bits the parity of stretch p's relative degree.
@@ -108,24 +103,33 @@ def _stretches(shifted: Seq, uprefix: list[int], r: int) -> Iterator[tuple[tuple
         yield tuple(stretches), bits
 
 
-class _Inner(Surjection):
-    """An inner term of one ``compose`` call with its ``_inner_factor`` at
-    the call's lobe, built once per inner term so that no pair recomputes
-    it, and its split tables, built on first use."""
+class _Outer:
+    """The outer term vseq of v o_t u with its ``_outer_factor``: the first
+    block ``head``, the later blocks ``tails`` and the suffix parities."""
 
-    __slots__ = ("factor", "stretches", "tables")
+    __slots__ = ("seq", "head", "tails", "parities")
 
-    @classmethod
-    def _at(cls, seq: Seq, t: int, arity: int, degree: int) -> "_Inner":
-        obj = cls._unchecked(seq, arity, degree)
-        object.__setattr__(obj, "factor", _inner_factor(seq, t))
-        object.__setattr__(obj, "stretches", {})
-        object.__setattr__(obj, "tables", {})
-        return obj
+    def __init__(self, vseq: Seq, t: int, n_inner: int):
+        blocks, self.parities = _outer_factor(vseq, t, n_inner)
+        self.seq, self.head, self.tails = vseq, blocks[0], blocks[1:]
+
+
+class _Inner:
+    """The inner term useq of v o_t u with its values raised onto lobes
+    t.., its recurrence prefix, and its split tables, built on first use."""
+
+    __slots__ = ("seq", "shifted", "prefix", "stretches", "tables")
+
+    def __init__(self, useq: Seq, t: int):
+        self.seq = useq
+        self.shifted = tuple(s + t - 1 for s in useq)
+        self.prefix = recurrence_prefix(useq)
+        self.stretches = {}
+        self.tables = {}
 
     def table(self, parities: tuple[int, ...]) -> list[tuple[tuple[Seq, ...], int]]:
         """The ``(stretches, sign)`` of every split against an outer term
-        with these suffix parities.
+        with these suffix parities, in the order of ``_stretches``.
 
         The splits into r = len(parities) stretches are listed once per r,
         and signed once per parities, that is per (r, mask) with bit p of
@@ -137,7 +141,7 @@ class _Inner(Surjection):
             r = len(parities)
             splits = self.stretches.get(r)
             if splits is None:
-                splits = self.stretches[r] = list(_stretches(*self.factor, r))
+                splits = self.stretches[r] = list(_stretches(self.shifted, self.prefix, r))
             mask = sum(parity << p for p, parity in enumerate(parities))
             table = self.tables[parities] = [
                 (stretches, -1 if (bits & mask).bit_count() & 1 else 1) for stretches, bits in splits
@@ -145,23 +149,9 @@ class _Inner(Surjection):
         return table
 
 
-class _Outer(Surjection):
-    """An outer term of one ``compose`` call with its ``_outer_factor`` as
-    ``(first block, later blocks, suffix parities)``, built once per outer
-    term.  ``tabled`` is set when the splits against it come from the
-    inner terms' tables."""
-
-    __slots__ = ("factor", "tabled")
-
-    @classmethod
-    def _at(cls, seq: Seq, arity: int, degree: int, factor: tuple, tabled: bool) -> "_Outer":
-        obj = cls._unchecked(seq, arity, degree)
-        object.__setattr__(obj, "factor", factor)
-        object.__setattr__(obj, "tabled", tabled)
-        return obj
-
-
-def composition_splits(v: Surjection, t: int, u: Surjection) -> Iterator[tuple[Seq, int]]:
+def composition_splits(
+    v: Union[Surjection, _Outer], t: int, u: Union[Surjection, _Inner]
+) -> Iterator[tuple[Seq, int]]:
     """All summands of v o_t u as ``(sequence, sign)`` pairs.
 
     One summand per split of u into r stretches (see ``_stretches``; r is
@@ -173,39 +163,21 @@ def composition_splits(v: Surjection, t: int, u: Surjection) -> Iterator[tuple[S
     sequence, inner and outer values differ, and two inner stretches are
     separated by the nonempty stretch of v between two occurrences of t.
 
-    Within ``compose`` both factors come built, and when an earlier outer
-    term had the same suffix parities the splits come from the inner
-    term's table, so that only the concatenation is left.
+    The factors come as records built by ``compose``, or as two
+    surjections, whose records are built here after the lobe is checked.
+    Either way the signed stretches come from ``u.table`` and each
+    composite is the concatenation of v's blocks and those stretches.
     """
-    if not 1 <= t <= v.arity:
-        raise OutOfRangeError(f"lobe {t} not in 1..{v.arity}")
-    if type(v) is _Outer:
-        head, tails, parities = v.factor
-        shifted, uprefix = u.factor
-        table = u.table(parities) if v.tabled else None
-    else:
-        blocks, parities = _outer_factor(v.seq, t, u.arity)
-        head, tails = blocks[0], blocks[1:]
-        shifted, uprefix = _inner_factor(u.seq, t)
-        table = None
-    if table is None:
-        # Splits used once are cheaper to build in place than to tabulate.
-        last = len(shifted) - 1
-        # Breakpoints as 0-based positions of u: stretch p is u[c_p .. c_{p+1}].
-        for mids in combinations_with_replacement(range(last + 1), len(tails) - 1):
-            composite = head
-            odd = start = 0
-            for stop, tail, parity in zip((*mids, last), tails, parities):
-                composite += shifted[start : stop + 1] + tail
-                odd ^= (uprefix[stop] - uprefix[start]) & parity
-                start = stop
-            yield composite, -1 if odd else 1
-    else:
-        for stretches, sign in table:
-            composite = head
-            for s, tail in zip(stretches, tails):
-                composite += s + tail
-            yield composite, sign
+    if isinstance(v, Surjection):
+        if not 1 <= t <= v.arity:
+            raise OutOfRangeError(f"lobe {t} not in 1..{v.arity}")
+        v, u = _Outer(v.seq, t, u.arity), _Inner(u.seq, t)
+    head, tails = v.head, v.tails
+    for stretches, sign in u.table(v.parities):
+        composite = head
+        for s, tail in zip(stretches, tails):
+            composite += s + tail
+        yield composite, sign
 
 
 def compose_basis(v: Surjection, t: int, u: Surjection) -> Element:
@@ -226,19 +198,12 @@ def compose(a: Union[Element, Surjection], t: int, b: Union[Element, Surjection]
         raise OutOfRangeError(f"lobe {t} not in 1..{bideg_a[0]}")
     if bideg_b is None:
         return Element.zero()
-    inner = [(_Inner._at(seq, t, *bideg_b), c) for seq, c in eb._terms.items()]
-    # A table pays off only for suffix parities that an earlier outer term
-    # already had; with one stretch there is one split and no table.
-    seen = set()
+    inner = [(_Inner(seq, t), c) for seq, c in eb._terms.items()]
     data: dict[Seq, int] = {}
     for seq, c1 in ea._terms.items():
-        blocks, parities = _outer_factor(seq, t, bideg_b[0])
-        tabled = parities in seen
-        if len(parities) > 1:
-            seen.add(parities)
-        u1 = _Outer._at(seq, *bideg_a, (blocks[0], blocks[1:], parities), tabled)
-        for u2, c2 in inner:
-            _accumulate(data, composition_splits(u1, t, u2), c1 * c2)
+        outer = _Outer(seq, t, bideg_b[0])
+        for u, c2 in inner:
+            _accumulate(data, composition_splits(outer, t, u), c1 * c2)
     return Element._trusted(data)
 
 

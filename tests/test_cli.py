@@ -493,6 +493,14 @@ class TestMutationSmoke:
         assert code == 1
         assert "FAIL" in out
 
+    def test_dropped_inner_koszul_rule_detected(self, capsys, monkeypatch):
+        # A zero recurrence prefix gives every inner stretch even degree, so
+        # the sign of every split is +1 whatever the outer parities.
+        monkeypatch.setattr(operad_module, "recurrence_prefix", lambda seq: [0] * (len(seq) + 1))
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 1
+        assert "FAIL" in out
+
     def test_flipped_insertion_sign_detected(self, capsys, monkeypatch):
         # Toggle the sign of every insertion at the first position.  Word and
         # structure images are memoized, so build them afresh under the

@@ -52,6 +52,20 @@ class TestArithmetic:
         assert E(1, 2).scale(0) == Element.zero()
         assert (2 * E(1, 2)).coefficient(S(1, 2)) == 2
 
+    @pytest.mark.parametrize("c", [1.5, 2.0, 0.5, True, False, "1", None])
+    def test_non_integer_coefficients_rejected(self, c):
+        u = S(1, 2)
+        with pytest.raises(TypeError, match="coefficient"):
+            Element([(u, c)])
+        with pytest.raises(TypeError, match="coefficient"):
+            Element.single(u, c)
+        with pytest.raises(TypeError, match="coefficient"):
+            E(1, 2).scale(c)
+        with pytest.raises(TypeError, match="coefficient"):
+            Element.sum([(c, E(1, 2))])
+        with pytest.raises(TypeError):
+            c * E(1, 2)
+
     def test_operators(self):
         x, y = E(1, 2), E(2, 1)
         assert x - y == x + (-y)
