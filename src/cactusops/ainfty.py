@@ -48,6 +48,8 @@ first differ at j + 1, where u~j has n); so only the terms' branching
 prefixes are walked.  The walk yields blocks of at most ``PSI_CHUNK``
 terms, and each block must increase strictly from the last term before
 it: an equal step would be two coinciding insertions, and raises.
+Every term, here and in the insertion kernel, is its key of ``elements``,
+one code point per value, so the stream's pairs are the dict's items.
 
 The support of the arity-n structure map is the set of prime cacti, so
 its size 2(2n-5)!! is known before any work, and so is a bound on its
@@ -63,7 +65,7 @@ from operator import itemgetter, lt
 from typing import Iterator, Union
 
 from .cacti import prime_cacti_count
-from .elements import Element, Seq, as_element
+from .elements import Element, Key, _key, _seq, as_element
 from .errors import MaxValueNotUniqueError, OutOfRangeError, ResourceBoundError, WordError, _quote
 from .operad import boundary, compose
 from .reports import VerificationReport, sides_report
@@ -109,18 +111,18 @@ def all_words(n: int) -> list[str]:
     return ["".join(p) for p in product("wb", repeat=n - 1)]
 
 
-def _top_index(seq: Seq) -> int:
-    """0-based position of the top value of seq, which must occur once."""
-    n = max(seq)
-    top = seq.index(n)
-    if seq.count(n) != 1:
+def _top_index(key: Key) -> int:
+    """0-based position of the top value of key, which must occur once."""
+    n = max(key)
+    top = key.index(n)
+    if key.count(n) != 1:
         raise MaxValueNotUniqueError(
-            f"top value {n} occurs {seq.count(n)} times in {_quote(seq, _seq_str)}"
+            f"top value {ord(n)} occurs {key.count(n)} times in {_quote(_seq(key), _seq_str)}"
         )
     return top
 
 
-def _insertion_row(seq: Seq) -> tuple[int, int]:
+def _insertion_row(key: Key) -> tuple[int, int]:
     """The top position of u and, as bits, which insertions negate c.
 
     The insertion u~j of a term c*u of arity n and degree k carries
@@ -128,11 +130,11 @@ def _insertion_row(seq: Seq) -> tuple[int, int]:
     relative degree of u(1..j), the number of positions before j whose
     value recurs later: its parity is carried forward as j advances.
     """
-    top = _top_index(seq)
-    final = {v: i for i, v in enumerate(seq)}
-    parity = (len(seq) - seq[top]) & 1
+    top = _top_index(key)
+    final = {v: i for i, v in enumerate(key)}
+    parity = (len(key) - ord(key[top])) & 1
     flips = 0
-    for i, v in enumerate(seq):
+    for i, v in enumerate(key):
         if i == top:
             parity ^= 1
         elif parity:
@@ -153,15 +155,15 @@ def _insertion_half(a: Union[Element, Surjection], color: str) -> Element:
     """
     ea = as_element(a)
     ea.bidegree()
-    out: dict[Seq, int] = {}
+    out: dict[Key, int] = {}
     made = 0
-    for seq, c in ea._terms.items():
-        top, flips = _insertion_row(seq)
-        new = (seq[top] + 1,)
-        positions = range(top) if color == WHITE else range(top + 1, len(seq))
+    for key, c in ea._terms.items():
+        top, flips = _insertion_row(key)
+        new = _key((ord(key[top]) + 1,))
+        positions = range(top) if color == WHITE else range(top + 1, len(key))
         made += len(positions)
         for j in positions:
-            out[seq[: j + 1] + new + seq[j:]] = -c if flips >> j & 1 else c
+            out[key[: j + 1] + new + key[j:]] = -c if flips >> j & 1 else c
     if len(out) != made:
         raise RuntimeError(f"{made} insertions added {len(out)} terms: two insertions coincide")
     return Element._trusted(out)
@@ -227,47 +229,49 @@ def a_infinity_image(n: int) -> Element:
     ``_MAX_IMAGE_TERMS`` terms, and RuntimeError where the stream does not
     increase, so no term is overwritten.
     """
-    return Element._trusted({tuple(seq): c for block in _psi_blocks(n) for seq, c in block})
+    return Element._trusted(dict(pair for block in _psi_blocks(n) for pair in block))
 
 
 def _position_insertions(
-    rows: list[tuple[bytes, int, int, int]], j: int, new: bytes
-) -> list[tuple[bytes, int]]:
+    rows: list[tuple[Key, int, int, int]], j: int, new: Key
+) -> list[tuple[Key, int]]:
     """The insertions at 0-based position j of rows that share their first
-    j + 1 entries, in row order; a row is a term as bytes, its coefficient
+    j + 1 entries, in row order; a row is a term's key, its coefficient
     and its ``_insertion_row``.  The shared entries hold the top of every
     row or of none."""
     first, _, top, _ = rows[0]
     if top == j:
         return []
     head = first[: j + 1] + new
-    return [(head + seq[j:], -c if flips >> j & 1 else c) for seq, c, _, flips in rows]
+    return [(head + key[j:], -c if flips >> j & 1 else c) for key, c, _, flips in rows]
 
 
 def _row_insertions(
-    row: tuple[bytes, int, int, int], lo: int, new: bytes
-) -> list[tuple[bytes, int]]:
+    row: tuple[Key, int, int, int], lo: int, new: Key
+) -> list[tuple[Key, int]]:
     """The insertions of one row at every position from lo on, in order:
     j descending, since u~j has the top value where u~j' (j' > j) still
     has an entry of u."""
-    seq, c, top, flips = row
+    key, c, top, flips = row
     return [
-        (seq[: j + 1] + new + seq[j:], -c if flips >> j & 1 else c)
-        for j in range(len(seq) - 1, lo - 1, -1)
+        (key[: j + 1] + new + key[j:], -c if flips >> j & 1 else c)
+        for j in range(len(key) - 1, lo - 1, -1)
         if j != top
     ]
 
 
-def _prefix_walk(n: int) -> Iterator[list[tuple[bytes, int]]]:
+def _prefix_walk(n: int) -> Iterator[list[tuple[Key, int]]]:
     """The insertions into sorted psi_{n-1}, as lists whose concatenation
-    is psi_n in order (see the module docstring); terms are bytes."""
-    rows = [(seq, c, *_insertion_row(seq)) for block in _psi_blocks(n - 1) for seq, c in block]
+    is psi_n in order (see the module docstring)."""
+    rows = [(key, c, *_insertion_row(key)) for block in _psi_blocks(n - 1) for key, c in block]
     size = len(rows[0][0])
-    keys = [int.from_bytes(row[0], "big") for row in rows]
+    # Each key as one integer of 32 bits per value, so that the highest
+    # bit where two keys differ gives the length of their common prefix.
+    ints = [int.from_bytes(row[0].encode("utf-32-be"), "big") for row in rows]
     # common[i]: the length of the common prefix of rows i - 1 and i, 0 at
     # both ends.
-    common = [0, *(size - ((a ^ b).bit_length() + 7) // 8 for a, b in zip(keys, keys[1:])), 0]
-    new = bytes((n,))
+    common = [0, *(size - ((a ^ b).bit_length() + 31) // 32 for a, b in zip(ints, ints[1:])), 0]
+    new = _key((n,))
     # The open groups of rows that share a prefix, as (prefix length, first
     # row), longest prefix last.  A row alone past the prefix it shares
     # with a neighbour emits its insertions there.  A group closes after
@@ -286,11 +290,11 @@ def _prefix_walk(n: int) -> Iterator[list[tuple[bytes, int]]]:
             groups.append((after, first))
 
 
-def _blocks(n: int, parts: Iterator[list[tuple[bytes, int]]]) -> Iterator[list[tuple[bytes, int]]]:
+def _blocks(n: int, parts: Iterator[list[tuple[Key, int]]]) -> Iterator[list[tuple[Key, int]]]:
     """The terms of parts in blocks of ``PSI_CHUNK``, each checked to
     increase strictly from the last term of the block before it."""
-    last = b""
-    block: list[tuple[bytes, int]] = []
+    last = ""
+    block: list[tuple[Key, int]] = []
     for part in parts:
         block += part
         while len(block) >= PSI_CHUNK:
@@ -303,18 +307,18 @@ def _blocks(n: int, parts: Iterator[list[tuple[bytes, int]]]) -> Iterator[list[t
         yield block
 
 
-def _check_increasing(n: int, last: bytes, block: list[tuple[bytes, int]]) -> bytes:
-    """The last sequence of block, which must increase strictly from last."""
-    seqs = [last, *map(itemgetter(0), block)]
-    if not all(map(lt, seqs, seqs[1:])):
-        bad = next(b for a, b in zip(seqs, seqs[1:]) if a >= b)
-        raise RuntimeError(f"psi_{n} stream does not increase at {_seq_str(bad)}")
-    return seqs[-1]
+def _check_increasing(n: int, last: Key, block: list[tuple[Key, int]]) -> Key:
+    """The last key of block, which must increase strictly from last."""
+    keys = [last, *map(itemgetter(0), block)]
+    if not all(map(lt, keys, keys[1:])):
+        bad = next(b for a, b in zip(keys, keys[1:]) if a >= b)
+        raise RuntimeError(f"psi_{n} stream does not increase at {_seq_str(_seq(bad))}")
+    return keys[-1]
 
 
-def _psi_blocks(n: int) -> Iterator[list[tuple[bytes, int]]]:
+def _psi_blocks(n: int) -> Iterator[list[tuple[Key, int]]]:
     """The terms of psi_n in lexicographic order, in blocks of at most
-    ``PSI_CHUNK`` pairs ``(bytes(sequence), coefficient)``, walked up from
+    ``PSI_CHUNK`` pairs ``(key, coefficient)``, walked up from
     psi_2 = (1,2) + (2,1) holding only the rows of psi_{n-1}.
 
     Raises ResourceBoundError on the call, before any work, when psi_n
@@ -323,9 +327,8 @@ def _psi_blocks(n: int) -> Iterator[list[tuple[bytes, int]]]:
     insertions coincide.
     """
     _check_image_size(n)
-    # Terms are bytes, which sort like the tuples: within the bound, n < 256.
     if n == 2:
-        return iter([[(bytes(_BASE[BLACK]), 1), (bytes(_BASE[WHITE]), 1)]])
+        return iter([[(_key(_BASE[BLACK]), 1), (_key(_BASE[WHITE]), 1)]])
     return _blocks(n, _prefix_walk(n))
 
 
@@ -388,7 +391,7 @@ def check_top_insertion_identities(u: Surjection) -> VerificationReport:
 
     u must be a cactus whose top value occurs exactly once.
     """
-    _top_index(u.seq)  # eligibility
+    _top_index(_key(u.seq))  # eligibility
     n, k = u.arity, u.degree
     sign = -1 if k % 2 else 1
     s121 = Surjection((1, 2, 1))
@@ -421,8 +424,8 @@ def check_insertion_composition(
     up to the sign (-1)**l (l the degree of u2); for i = p an extra term
     inserts into the inner factor.  Both colors are checked.
     """
-    _top_index(u1.seq)
-    _top_index(u2.seq)
+    _top_index(_key(u1.seq))
+    _top_index(_key(u2.seq))
     p = u1.arity
     ell = u2.degree
     if not 1 <= i <= p:

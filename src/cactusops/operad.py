@@ -15,9 +15,10 @@ no other block, so the sign of a split has the closed form
 
 one product per block read off the suffix parities of the outer degrees.
 
-The one kernel, ``composition_splits``, yields ``(sequence, sign)``
-pairs, which ``compose_basis`` and ``compose`` add straight into the
-in-place accumulator of ``elements``, keyed by the raw sequence.  It reads
+The one kernel, ``composition_splits``, yields ``(key, sign)`` pairs,
+which ``compose_basis`` and ``compose`` add straight into the in-place
+accumulator of ``elements``; a term is its key, one code point per value
+(see ``elements``), from the factors to the composite.  It reads
 each factor from a plain record: an outer term's relabelled blocks and
 suffix parities (``_Outer``), an inner term's values shifted onto the new
 lobes, its recurrence prefix and its split tables (``_Inner``).
@@ -33,8 +34,8 @@ it is dropped when the call returns.
 The differential deletes one entry at a time; entries that are the only
 occurrence of their value are skipped, and deletions that would leave two
 equal adjacent entries are identified with zero.  One generator,
-``_deletions``, yields the ``(sequence, sign)`` deletions of a raw
-sequence; ``boundary`` streams those of every term of an element, scaled
+``_deletions``, yields the ``(key, sign)`` deletions of a key;
+``boundary`` streams those of every term of an element, scaled
 by the term's coefficient, into one accumulator, and ``boundary_basis`` is
 the same stream for a single term.
 """
@@ -44,7 +45,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import Iterator, Union
 
-from .elements import Element, Seq, _accumulate, as_element
+from .elements import Element, Key, _accumulate, _key, _seq, as_element
 from .errors import OutOfRangeError
 from .reports import VerificationReport, equality_report, sides_report
 from .surjections import Surjection, recurrence_prefix
@@ -60,7 +61,7 @@ __all__ = [
 ]
 
 
-def _outer_factor(vseq: Seq, t: int, n_inner: int) -> tuple[tuple[Seq, ...], tuple[int, ...]]:
+def _outer_factor(vkey: Key, t: int, n_inner: int) -> tuple[list[Key], tuple[int, ...]]:
     """The outer factor's share of every split of v o_t u.
 
     Returns the r + 1 stretches of v around the occurrences of t, with the
@@ -70,22 +71,14 @@ def _outer_factor(vseq: Seq, t: int, n_inner: int) -> tuple[tuple[Seq, ...], tup
     occurrence of t, and a suffix's degree is its length minus its number
     of distinct values.
     """
-    size = len(vseq)
-    shift = n_inner - 1
-    lifted = tuple([s if s < t else s + shift for s in vseq])
-    blocks = []
-    parities = []
-    prev = 0
-    for p, w in enumerate(vseq):
-        if w == t:
-            blocks.append(lifted[prev:p])
-            parities.append((size - p - len(set(vseq[p:]))) & 1)
-            prev = p + 1
-    blocks.append(lifted[prev:])
-    return tuple(blocks), tuple(parities)
+    size = len(vkey)
+    lobe = chr(t)
+    lifted = _key([s if s <= t else s + n_inner - 1 for s in _seq(vkey)])
+    parities = [(size - p - len(set(vkey[p:]))) & 1 for p, w in enumerate(vkey) if w == lobe]
+    return lifted.split(lobe), tuple(parities)
 
 
-def _stretches(shifted: Seq, uprefix: list[int], r: int) -> Iterator[tuple[tuple[Seq, ...], int]]:
+def _stretches(shifted: Key, uprefix: list[int], r: int) -> Iterator[tuple[tuple[Key, ...], int]]:
     """Every split of the inner factor into r stretches, as ``(stretches,
     bits)`` with bit p of bits the parity of stretch p's relative degree.
 
@@ -104,30 +97,31 @@ def _stretches(shifted: Seq, uprefix: list[int], r: int) -> Iterator[tuple[tuple
 
 
 class _Outer:
-    """The outer term vseq of v o_t u with its ``_outer_factor``: the first
-    block ``head``, the later blocks ``tails`` and the suffix parities."""
+    """The outer term vkey of v o_t u with its ``_outer_factor``: the first
+    block ``head``, the later blocks ``tails`` and the suffix parities.
+    ``seq`` is the values of vkey, in which perfbench's tracer counts t."""
 
     __slots__ = ("seq", "head", "tails", "parities")
 
-    def __init__(self, vseq: Seq, t: int, n_inner: int):
-        blocks, self.parities = _outer_factor(vseq, t, n_inner)
-        self.seq, self.head, self.tails = vseq, blocks[0], blocks[1:]
+    def __init__(self, vkey: Key, t: int, n_inner: int):
+        blocks, self.parities = _outer_factor(vkey, t, n_inner)
+        self.seq, self.head, self.tails = _seq(vkey), blocks[0], blocks[1:]
 
 
 class _Inner:
-    """The inner term useq of v o_t u with its values raised onto lobes
+    """The inner term ukey of v o_t u with its values raised onto lobes
     t.., its recurrence prefix, and its split tables, built on first use."""
 
     __slots__ = ("seq", "shifted", "prefix", "stretches", "tables")
 
-    def __init__(self, useq: Seq, t: int):
-        self.seq = useq
-        self.shifted = tuple(s + t - 1 for s in useq)
-        self.prefix = recurrence_prefix(useq)
+    def __init__(self, ukey: Key, t: int):
+        self.seq = ukey
+        self.shifted = _key([s + t - 1 for s in _seq(ukey)])
+        self.prefix = recurrence_prefix(ukey)
         self.stretches = {}
         self.tables = {}
 
-    def table(self, parities: tuple[int, ...]) -> list[tuple[tuple[Seq, ...], int]]:
+    def table(self, parities: tuple[int, ...]) -> list[tuple[tuple[Key, ...], int]]:
         """The ``(stretches, sign)`` of every split against an outer term
         with these suffix parities, in the order of ``_stretches``.
 
@@ -151,8 +145,8 @@ class _Inner:
 
 def composition_splits(
     v: Union[Surjection, _Outer], t: int, u: Union[Surjection, _Inner]
-) -> Iterator[tuple[Seq, int]]:
-    """All summands of v o_t u as ``(sequence, sign)`` pairs.
+) -> Iterator[tuple[Key, int]]:
+    """All summands of v o_t u as ``(key, sign)`` pairs.
 
     One summand per split of u into r stretches (see ``_stretches``; r is
     the number of occurrences of t in v): the p-th occurrence of t becomes
@@ -171,7 +165,7 @@ def composition_splits(
     if isinstance(v, Surjection):
         if not 1 <= t <= v.arity:
             raise OutOfRangeError(f"lobe {t} not in 1..{v.arity}")
-        v, u = _Outer(v.seq, t, u.arity), _Inner(u.seq, t)
+        v, u = _Outer(_key(v.seq), t, u.arity), _Inner(_key(u.seq), t)
     head, tails = v.head, v.tails
     for stretches, sign in u.table(v.parities):
         composite = head
@@ -182,7 +176,7 @@ def composition_splits(
 
 def compose_basis(v: Surjection, t: int, u: Surjection) -> Element:
     """Operadic composition of basis surjections, as an element."""
-    data: dict[Seq, int] = {}
+    data: dict[Key, int] = {}
     _accumulate(data, composition_splits(v, t, u))
     return Element._trusted(data)
 
@@ -198,17 +192,17 @@ def compose(a: Union[Element, Surjection], t: int, b: Union[Element, Surjection]
         raise OutOfRangeError(f"lobe {t} not in 1..{bideg_a[0]}")
     if bideg_b is None:
         return Element.zero()
-    inner = [(_Inner(seq, t), c) for seq, c in eb._terms.items()]
-    data: dict[Seq, int] = {}
-    for seq, c1 in ea._terms.items():
-        outer = _Outer(seq, t, bideg_b[0])
+    inner = [(_Inner(key, t), c) for key, c in eb._terms.items()]
+    data: dict[Key, int] = {}
+    for key, c1 in ea._terms.items():
+        outer = _Outer(key, t, bideg_b[0])
         for u, c2 in inner:
             _accumulate(data, composition_splits(outer, t, u), c1 * c2)
     return Element._trusted(data)
 
 
-def _deletions(seq: Seq) -> Iterator[tuple[Seq, int]]:
-    """The nonzero single-entry deletions of seq, as ``(sequence, sign)`` pairs.
+def _deletions(key: Key) -> Iterator[tuple[Key, int]]:
+    """The nonzero single-entry deletions of key, as ``(key, sign)`` pairs.
 
     A deletion is skipped when the entry is the only occurrence of its
     value and dropped when it would leave equal adjacent entries.  The
@@ -219,11 +213,11 @@ def _deletions(seq: Seq) -> Iterator[tuple[Seq, int]]:
     value recurs later, and per value that parity just past its latest
     occurrence.
     """
-    final = {v: i for i, v in enumerate(seq)}
-    end = len(seq) - 1
+    final = {v: i for i, v in enumerate(key)}
+    end = len(key) - 1
     odd = 0
-    after: dict[int, int] = {}
-    for i, v in enumerate(seq):
+    after: dict[str, int] = {}
+    for i, v in enumerate(key):
         if final[v] != i:  # entry recurs later
             exponent = odd
             odd ^= 1
@@ -232,15 +226,15 @@ def _deletions(seq: Seq) -> Iterator[tuple[Seq, int]]:
             exponent = after.get(v)
             if exponent is None:
                 continue  # only occurrence of its value
-        if 0 < i < end and seq[i - 1] == seq[i + 1]:
+        if 0 < i < end and key[i - 1] == key[i + 1]:
             continue  # degenerate deletion counts as zero
-        yield seq[:i] + seq[i + 1 :], -1 if exponent else 1
+        yield key[:i] + key[i + 1 :], -1 if exponent else 1
 
 
 def boundary_basis(u: Surjection) -> Element:
     """Signed sum of the single-entry deletions of u (see ``_deletions``)."""
-    data: dict[Seq, int] = {}
-    _accumulate(data, _deletions(u.seq))
+    data: dict[Key, int] = {}
+    _accumulate(data, _deletions(_key(u.seq)))
     return Element._trusted(data)
 
 
@@ -252,9 +246,9 @@ def boundary(a: Union[Element, Surjection]) -> Element:
     """
     ea = as_element(a)
     ea.bidegree()
-    data: dict[Seq, int] = {}
-    for seq, c in ea._terms.items():
-        _accumulate(data, _deletions(seq), c)
+    data: dict[Key, int] = {}
+    for key, c in ea._terms.items():
+        _accumulate(data, _deletions(key), c)
     return Element._trusted(data)
 
 

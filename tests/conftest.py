@@ -39,6 +39,16 @@ def elements(draw, pool=SURJECTION_POOL, max_terms=4, homogeneous=False):
     return Element(terms)
 
 
+def as_key(seq):
+    """A value sequence as the package keys a term: one code point per value."""
+    return "".join(map(chr, seq))
+
+
+def as_seq(key):
+    """The value sequence of a term key."""
+    return tuple(map(ord, key))
+
+
 def word_image_sum(n):
     """psi_n by the word-image route, which shares only the sign rule with
     the sorted stream that builds it."""

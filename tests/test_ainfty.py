@@ -28,7 +28,7 @@ from cactusops import (
 
 import cactusops.ainfty as ainfty_module
 from cactusops.ainfty import _MAX_IMAGE_TERMS, _check_image_size, _psi_blocks
-from conftest import ELIGIBLE_POOL, eligible_cacti, elements, word_image_sum
+from conftest import ELIGIBLE_POOL, as_key, as_seq, eligible_cacti, elements, word_image_sum
 from oracles import naive_insertion
 
 
@@ -42,7 +42,12 @@ def E(*values):
 
 def psi_terms(n):
     """The terms of ``_psi_blocks(n)`` in stream order, sequences as tuples."""
-    return [(tuple(seq), c) for block in _psi_blocks(n) for seq, c in block]
+    return [(as_seq(key), c) for block in _psi_blocks(n) for key, c in block]
+
+
+def sorted_terms(a):
+    """The terms of an element as (sequence, coefficient), in tuple order."""
+    return sorted((u.seq, c) for u, c in a.terms())
 
 
 def golden_rows():
@@ -205,7 +210,7 @@ class TestStructureImage:
 
     def test_stream_is_the_sorted_image(self):
         for n in range(2, 9):
-            assert psi_terms(n) == sorted(word_image_sum(n)._terms.items()), n
+            assert psi_terms(n) == sorted_terms(word_image_sum(n)), n
 
     def test_stream_matches_the_oracle_recursion(self):
         # psi_n = white(psi_{n-1}) + black(psi_{n-1}), signs from the oracle alone.
@@ -237,8 +242,8 @@ class TestStructureImage:
         blocks = list(_psi_blocks(7))
         assert all(len(block) == chunk for block in blocks[:-1])
         assert 1 <= len(blocks[-1]) <= chunk
-        flat = [(tuple(seq), c) for block in blocks for seq, c in block]
-        assert flat == sorted(word_image_sum(7)._terms.items())
+        flat = [(as_seq(key), c) for block in blocks for key, c in block]
+        assert flat == sorted_terms(word_image_sum(7))
 
     @pytest.mark.parametrize(
         "mutation",
@@ -260,7 +265,7 @@ class TestStructureImage:
         monkeypatch.setattr(
             ainfty_module,
             "_position_insertions",
-            lambda rows, j, new: (mutant if new == bytes((6,)) else stream)(rows, j, new),
+            lambda rows, j, new: (mutant if new == as_key((6,)) else stream)(rows, j, new),
         )
         for build in (psi_terms, a_infinity_image):
             a_infinity_image.cache_clear()

@@ -13,7 +13,7 @@ import cactusops
 import cactusops.cli as cli_module
 import cactusops.operad as operad_module
 from cactusops.cli import main
-from conftest import word_image_sum
+from conftest import as_seq, word_image_sum
 
 
 def run(capsys, *argv):
@@ -41,6 +41,7 @@ class TestComputationCommands:
             code, out, _ = run(capsys, "psi", str(n))
             assert code == 0
             assert out == str(word_image_sum(n)) + "\n", n
+            assert out[:-1] == str(cactusops.a_infinity_image(n)), n
 
     def test_psi_never_builds_the_image_it_prints(self, capsys, monkeypatch):
         # psi N is walked up from psi_2: no psi_k is built as a dict.
@@ -83,6 +84,21 @@ class TestComputationCommands:
         code, out, _ = run(capsys, "compose", "(1,2)", "1", "(1,2)")
         assert code == 0
         assert out == "+(1,2,3)\n"
+
+    def test_value_above_the_key_limit_exits_two(self, capsys, monkeypatch):
+        # A term key holds values up to sys.maxunicode.  The text of this
+        # surjection is 7.8 MB, which the parser reads in seconds and
+        # hundreds of MB, so the parser hands the surjection over instead.
+        big = cactusops.Surjection(range(1, sys.maxunicode + 2))
+        parse = cli_module.parse_element
+        monkeypatch.setattr(
+            cli_module, "parse_element", lambda text: big if text == "BIG" else parse(text)
+        )
+        for argv in (("compose", "(1,2)", "1", "BIG"), ("boundary", "BIG")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert f"value {sys.maxunicode + 1} is above {sys.maxunicode}" in err
 
     def test_compose_lobe_out_of_range_with_zero_right_operand(self, capsys):
         code, out, err = run(capsys, "compose", "+(1,2)", "3", "0")
@@ -487,7 +503,10 @@ class TestMutationSmoke:
         monkeypatch.setattr(
             operad_module,
             "_outer_factor",
-            lambda vseq, t, n_inner: (true_outer(vseq, t, n_inner)[0], (0,) * vseq.count(t)),
+            lambda vkey, t, n_inner: (
+                true_outer(vkey, t, n_inner)[0],
+                (0,) * as_seq(vkey).count(t),
+            ),
         )
         code, out, _ = run(capsys, *self.ARGS)
         assert code == 1

@@ -1,7 +1,8 @@
 import random
+import sys
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cactusops import (
@@ -9,13 +10,18 @@ from cactusops import (
     NotACactusError,
     NotHomogeneousError,
     ParseError,
+    ResourceBoundError,
     Surjection,
     boundary_basis,
+    check_top_insertion_identities,
+    compose_basis,
+    parse_element,
     white_op,
 )
 
+import cactusops.ainfty as ainfty_module
 from cactusops.elements import _block_str, _term_str
-from conftest import elements, surjections
+from conftest import as_key, elements, surjections
 
 
 def S(*values):
@@ -86,8 +92,67 @@ class TestArithmetic:
         assert (str(a) == str(b)) == (a == b)
 
 
+# Values on both sides of 10/11 (one digit against two, and the last value
+# the block printer lays out itself) and of 255/256 (one byte against two).
+WIDE_VALUES = (1, 2, 9, 10, 11, 12, 254, 255, 256, 257, 299, 300)
+
+
+@st.composite
+def wide_surjections(draw):
+    """A surjection onto 1..n for n up to 300: a few chosen values, then a
+    permutation of 1..n, with equal neighbours merged."""
+    n = draw(st.sampled_from(WIDE_VALUES[1:]))
+    head = draw(st.lists(st.sampled_from([v for v in WIDE_VALUES if v <= n]), max_size=6))
+    values = head + draw(st.permutations(range(1, n + 1)))
+    return Surjection([v for i, v in enumerate(values) if i == 0 or values[i - 1] != v])
+
+
+@st.composite
+def wide_elements(draw):
+    """Elements of wide surjections, with a term u often joined by u + (u[-2],),
+    which has u as a prefix."""
+    terms = []
+    for u in draw(st.lists(wide_surjections(), max_size=4)):
+        terms.append((u, draw(st.integers(-3, 3))))
+        if len(u) > 1 and draw(st.booleans()):
+            terms.append((Surjection(u.seq + u.seq[-2:-1]), draw(st.integers(-3, 3))))
+    return Element(terms)
+
+
 class TestSequenceStorage:
-    """Terms are stored by raw sequence and rebuilt as surjections on the way out."""
+    """Terms are stored by key and rebuilt as surjections on the way out."""
+
+    @given(wide_elements())
+    @settings(deadline=None)
+    def test_key_order_is_the_sequence_order(self, e):
+        seqs = [u.seq for u in e.support()]
+        assert seqs == sorted(seqs)
+        terms = sorted((u.seq, c) for u, c in e.terms())
+        assert str(e) == (" ".join(_term_str(as_key(seq), c) for seq, c in terms) or "0")
+        assert parse_element(str(e)) == e
+
+    def test_values_above_the_key_limit_are_refused(self, monkeypatch):
+        # A key holds one code point per value, so values up to sys.maxunicode.
+        big = Surjection(range(1, sys.maxunicode + 2))
+        top = Surjection(big.seq[:-1])  # holds, but one more lobe does not
+        # The sign row of top takes seconds; the new top value is refused before
+        # any sign is read.
+        monkeypatch.setattr(ainfty_module, "_insertion_row", lambda key: (len(key) - 1, 0))
+        message = rf"value {sys.maxunicode + 1} is above {sys.maxunicode}, the largest"
+        for call in (
+            lambda: Element([(big, 1)]),
+            lambda: Element.zero().coefficient(big),
+            lambda: compose_basis(big, 1, Surjection((1,))),
+            lambda: compose_basis(Surjection((1,)), 1, big),
+            lambda: compose_basis(Surjection((1, 2)), 1, top),  # outer value 2 raised
+            lambda: compose_basis(Surjection((1, 2)), 2, top),  # inner values raised
+            lambda: boundary_basis(big),
+            lambda: white_op(top),
+            lambda: check_top_insertion_identities(big),
+        ):
+            with pytest.raises(ResourceBoundError, match=message):
+                call()
+        assert Element.single(top).coefficient(top) == 1
 
     @given(elements())
     def test_rebuilt_terms_are_the_validated_surjections(self, a):
@@ -163,12 +228,12 @@ class TestBlockText:
 
     @staticmethod
     def expected(block):
-        return " ".join(_term_str(tuple(seq), c) for seq, c in block)
+        return " ".join(_term_str(key, c) for key, c in block)
 
     @staticmethod
     def random_block(rng, count, size, top=10, coeffs=(1, -1)):
         return [
-            (bytes(rng.randint(1, top) for _ in range(size)), rng.choice(coeffs))
+            (as_key([rng.randint(1, top) for _ in range(size)]), rng.choice(coeffs))
             for _ in range(count)
         ]
 
@@ -182,7 +247,7 @@ class TestBlockText:
     def test_values_and_signs_are_all_covered(self):
         rng = random.Random("block-text:cover")
         block = self.random_block(rng, 1000, 18)
-        assert set(b"".join(seq for seq, _ in block)) == set(range(1, 11))
+        assert set("".join(key for key, _ in block)) == set(map(chr, range(1, 11)))
         assert {c for _, c in block} == {1, -1}
         assert _block_str(block) == self.expected(block)
         assert "(10," in _block_str(block) and ",10)" in _block_str(block)
@@ -190,18 +255,38 @@ class TestBlockText:
     @pytest.mark.parametrize(
         "block",
         [
-            [(b"\x01\x02", 3), (b"\x02\x01", -1)],  # coefficient other than +-1
-            [(b"\x01\x02", -12), (b"\x02\x01", 1)],
-            [(b"\x01\x02\x01", 1), (b"\x02\x01", -1)],  # lengths differ
-            [(b"\x01\x02", 1), (b"\x02\x0b", -1)],  # value 11
-            [(b"\x01\xff", 1)],  # value 255
-            [(b"\x00\x02", 1)],  # value 0
-            [(b"", 1)],
+            [(as_key((1, 2)), 3), (as_key((2, 1)), -1)],  # coefficient other than +-1
+            [(as_key((1, 2)), -12), (as_key((2, 1)), 1)],
+            [(as_key((1, 2, 1)), 1), (as_key((2, 1)), -1)],  # lengths differ
+            [(as_key((1, 2)), 1), (as_key((2, 11)), -1)],  # value 11
+            [(as_key((1, 255)), 1)],  # value 255
+            [(as_key((1, 300)), 1)],  # value 300
+            [(as_key((0, 2)), 1)],  # value 0
+            [("", 1)],
             [],
         ],
     )
     def test_other_blocks_print_term_by_term(self, block):
         assert _block_str(block) == self.expected(block)
+
+    @pytest.mark.parametrize(
+        "terms, text",
+        [
+            ([((1, 2, 1), -1), ((1, 2), 1)], "+(1,2) -(1,2,1)"),  # lengths differ
+            ([((2, 1), -2), ((1, 2), 2)], "+2*(1,2) -2*(2,1)"),
+            ([((1, 2), 1), ((2, 1), -1)], "+(1,2) -(2,1)"),
+            (
+                [(tuple(range(1, 12)), 1), (tuple(range(11, 0, -1)), -1)],  # value 11
+                "+(1,2,3,4,5,6,7,8,9,10,11) -(11,10,9,8,7,6,5,4,3,2,1)",
+            ),
+            ([(tuple(range(1, 301)), -1)], "-(" + ",".join(map(str, range(1, 301))) + ")"),
+            ([], "0"),
+        ],
+    )
+    def test_element_prints_through_the_block_printer(self, terms, text):
+        e = Element([(Surjection(seq), c) for seq, c in terms])
+        assert str(e) == text
+        assert parse_element(text) == e
 
     def test_seeded_mixed_blocks(self):
         rng = random.Random("block-text:mixed")
@@ -212,5 +297,5 @@ class TestBlockText:
                 coeffs=rng.choice(((1, -1), (1, -1, 2), (-1,))),
             )
             if rng.random() < 0.2:
-                block.append((bytes([1] * (size + 1)), 1))
+                block.append((as_key([1] * (size + 1)), 1))
             assert _block_str(block) == self.expected(block)
