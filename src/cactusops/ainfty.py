@@ -60,7 +60,7 @@ differential; structure maps, or differentials of them, above
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from itertools import pairwise, product
 from operator import itemgetter, lt
 from typing import Iterator, Union
 
@@ -267,10 +267,10 @@ def _prefix_walk(n: int) -> Iterator[list[tuple[Key, int]]]:
     size = len(rows[0][0])
     # Each key as one integer of 32 bits per value, so that the highest
     # bit where two keys differ gives the length of their common prefix.
-    ints = [int.from_bytes(row[0].encode("utf-32-be"), "big") for row in rows]
+    ints = (int.from_bytes(row[0].encode("utf-32-be"), "big") for row in rows)
     # common[i]: the length of the common prefix of rows i - 1 and i, 0 at
     # both ends.
-    common = [0, *(size - ((a ^ b).bit_length() + 31) // 32 for a, b in zip(ints, ints[1:])), 0]
+    common = [0, *(size - ((a ^ b).bit_length() + 31) // 32 for a, b in pairwise(ints)), 0]
     new = _key((n,))
     # The open groups of rows that share a prefix, as (prefix length, first
     # row), longest prefix last.  A row alone past the prefix it shares
