@@ -260,10 +260,10 @@ class TestBlockText:
             [(as_key((1, 2, 1)), 1), (as_key((2, 1)), -1)],  # lengths differ
             [(as_key((1, 2)), 1), (as_key((2, 11)), -1)],  # value 11
             [(as_key((1, 255)), 1)],  # value 255
-            [(as_key((1, 300)), 1)],  # value 300
             [(as_key((0, 2)), 1)],  # value 0
             [("", 1)],
             [],
+            [(as_key((1, 300)), 1)],  # value 300
         ],
     )
     def test_other_blocks_print_term_by_term(self, block):
