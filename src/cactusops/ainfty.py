@@ -66,7 +66,7 @@ from typing import Iterator, Union
 
 from .cacti import prime_cacti_count
 from .elements import Element, Key, _key, _seq, as_element
-from .errors import MaxValueNotUniqueError, OutOfRangeError, ResourceBoundError, WordError, _quote
+from .errors import MaxValueNotUniqueError, ResourceBoundError, WordError, _check_index, _quote
 from .operad import boundary, compose
 from .reports import VerificationReport, sides_report
 from .surjections import Surjection, _seq_str
@@ -428,8 +428,7 @@ def check_insertion_composition(
     _top_index(_key(u2.seq))
     p = u1.arity
     ell = u2.degree
-    if not 1 <= i <= p:
-        raise OutOfRangeError(f"slot {i} not in 1..{p}")
+    _check_index(i, p, "slot ")
     sign = -1 if ell % 2 else 1
     composed = compose(u1, i, u2)
 

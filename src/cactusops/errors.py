@@ -70,6 +70,16 @@ def _quote(value, show=repr) -> str:
     return f"{show(value[:_QUOTE_MAX])}... ({len(value)} characters)"
 
 
+def _check_index(value: object, high: int, label: str) -> None:
+    """Refuse a 1-based index that is not an int (``TypeError``, ``bool``
+    included) or lies outside 1..high (``OutOfRangeError``).  label names
+    it in the message and ends with its separator ("lobe ", "i=")."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{label}{value!r} is not an int")
+    if not 1 <= value <= high:
+        raise OutOfRangeError(f"{label}{value} not in 1..{high}")
+
+
 class CactusOpsError(Exception):
     """Base class for all errors raised by this package."""
 

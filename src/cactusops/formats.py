@@ -24,6 +24,11 @@ text or "term i" in JSON, appended.  A long token or value is quoted by
 its first characters or entries and its length, a long integer by its
 digit count (``errors._quote``).
 
+Text is scanned lazily, one token of lookahead, and a position is an
+offset into it, turned into a line and column only when an error is
+raised: "\n" ends a line, every other code point ("\r" included) is one
+column, and the end of input lies at the end of the last token.
+
 Lobe trees render to graphviz DOT, to standalone SVG (one circle per
 lobe, children tangent to their parent at angles set by the attachment
 arc), or to an indented text outline.  Rendering is a deterministic
@@ -35,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .cacti import LobeTree, lobe_tree
 from .elements import Element
@@ -58,62 +63,65 @@ CHILD_RATIO = 0.55
 STROKE_WIDTH = 2.0
 
 # Only ASCII digits make numbers; any other digit character is a parse error.
+# finditer skips what no token matches, which is whitespace.
 _DIGITS = re.compile(r"[0-9]+")
-_TOKEN = re.compile(r"[+\-*(),]|[0-9]+|\s+|.", re.DOTALL)
+_TOKEN = re.compile(r"[+\-*(),]|[0-9]+|\S")
 
 
 class _Tokens:
+    """The tokens of text, scanned lazily with one lookahead match.  A
+    position is an offset into text, turned into a line and column only
+    for an error."""
+
     def __init__(self, text: str):
-        self.items: list[tuple[str, int, int]] = []  # (token, line, column)
-        line, col = 1, 1
-        for m in _TOKEN.finditer(text):
-            tok = m.group()
-            if not tok.isspace():
-                self.items.append((tok, line, col))
-            for ch in tok:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-        self.pos = 0
+        self.text = text
+        self.matches = _TOKEN.finditer(text)
+        self.match = next(self.matches, None)
 
     def peek(self) -> str | None:
-        return self.items[self.pos][0] if self.pos < len(self.items) else None
+        return self.match and self.match.group()
 
-    def where(self) -> tuple[int, int]:
-        if self.pos < len(self.items):
-            _, line, col = self.items[self.pos]
-            return line, col
-        if self.items:
-            tok, line, col = self.items[-1]
-            return line, col + len(tok)
-        return 1, 1
+    def offset(self) -> int:
+        """The next token's offset; at end of input, the last token's end,
+        which is where the trailing whitespace starts."""
+        return self.match.start() if self.match else len(self.text.rstrip())
+
+    def line_column(self, offset: int) -> tuple[int, int]:
+        """offset as a 1-based line and column (see the module docstring)."""
+        text = self.text
+        return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+    def error(self, message: str, offset: int | None = None) -> ParseError:
+        return ParseError(message, *self.line_column(self.offset() if offset is None else offset))
 
     def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", *self.where())
-        self.pos += 1
-        return tok
+        match = self.match
+        if match is None:
+            raise self.error("unexpected end of input")
+        self.match = next(self.matches, None)
+        return match.group()
 
     def expect(self, want: str) -> None:
-        line, col = self.where()
         tok = self.peek()
         if tok != want:
-            raise ParseError(f"expected {want!r}, found {_quote(tok)}", line, col)
-        self.pos += 1
+            found = "end of input" if tok is None else _quote(tok)
+            raise self.error(f"expected {want!r}, found {found}")
+        self.take()
+
+    def place(self, offset: int) -> Callable[[], str]:
+        """A function naming offset as "line L, column C", for ``_surjection``."""
+        return lambda: "line %d, column %d" % self.line_column(offset)
 
 
 def _parse_int(tokens: _Tokens) -> int:
-    line, col = tokens.where()
+    start = tokens.offset()
     tok = tokens.take()
     if not _DIGITS.fullmatch(tok):
-        raise ParseError(f"expected an integer, found {_quote(tok)}", line, col)
+        raise tokens.error(f"expected an integer, found {_quote(tok)}", start)
     try:
         return int(tok)
     except ValueError:  # more digits than int() converts
-        raise ParseError(f"integer of {len(tok)} digits is too long", line, col) from None
+        raise tokens.error(f"integer of {len(tok)} digits is too long", start) from None
 
 
 def _parse_paren_sequence(tokens: _Tokens) -> tuple[int, ...]:
@@ -126,26 +134,25 @@ def _parse_paren_sequence(tokens: _Tokens) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _surjection(seq: Iterable[int], where: str) -> Surjection:
-    """Surjection(seq); a validation error keeps its type and gains ``where``."""
+def _surjection(seq: Iterable[int], where: Callable[[], str]) -> Surjection:
+    """Surjection(seq); a validation error keeps its type and gains ``where()``."""
     try:
         return Surjection(seq)
     except CactusOpsError as exc:
-        exc.args = (f"{exc} ({where})",)
+        exc.args = (f"{exc} ({where()})",)
         raise
 
 
 def parse_surjection(text: str) -> Surjection:
     """Parse "(1,3,1,2)" or, when every value is a single digit, "1312"."""
     tokens = _Tokens(text)
-    line, col = tokens.where()
-    where = f"line {line}, column {col}"
+    where = tokens.place(tokens.offset())
     stripped = text.strip()
     if _DIGITS.fullmatch(stripped):
         return _surjection(tuple(int(ch) for ch in stripped), where)
     seq = _parse_paren_sequence(tokens)
     if tokens.peek() is not None:
-        raise ParseError(f"trailing input {_quote(tokens.peek())}", *tokens.where())
+        raise tokens.error(f"trailing input {_quote(tokens.peek())}")
     return _surjection(seq, where)
 
 
@@ -153,11 +160,11 @@ def parse_element(text: str) -> Element:
     """Parse a signed sum of parenthesized surjections; "0" is the zero element."""
     tokens = _Tokens(text)
     if tokens.peek() is None:
-        raise ParseError("empty element", *tokens.where())
+        raise tokens.error("empty element")
     if tokens.peek() == "0":
         tokens.take()
         if tokens.peek() is not None:
-            raise ParseError(f"trailing input {_quote(tokens.peek())}", *tokens.where())
+            raise tokens.error(f"trailing input {_quote(tokens.peek())}")
         return Element.zero()
     terms: list[tuple[Surjection, int]] = []
     while tokens.peek() is not None:
@@ -169,9 +176,9 @@ def parse_element(text: str) -> Element:
         if tok is not None and _DIGITS.fullmatch(tok):
             coeff = _parse_int(tokens)
             tokens.expect("*")
-        line, col = tokens.where()
+        where = tokens.place(tokens.offset())
         seq = _parse_paren_sequence(tokens)
-        terms.append((_surjection(seq, f"line {line}, column {col}"), sign * coeff))
+        terms.append((_surjection(seq, where), sign * coeff))
     return Element(terms)
 
 
@@ -211,7 +218,7 @@ def element_from_json(doc: Union[dict, str]) -> Element:
             raise ParseError(f"term {index}: 'coeff' must be an integer, got {_quote(coeff)}")
         if not isinstance(seq, list):
             raise ParseError(f"term {index}: 'seq' must be a list, got {_quote(seq)}")
-        terms.append((_surjection(seq, f"term {index}"), coeff))
+        terms.append((_surjection(seq, lambda: f"term {index}"), coeff))
     return Element(terms)
 
 

@@ -46,7 +46,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator, Union
 
 from .elements import Element, Key, _accumulate, _key, _seq, as_element
-from .errors import OutOfRangeError
+from .errors import _check_index
 from .reports import VerificationReport, equality_report, sides_report
 from .surjections import Surjection, recurrence_prefix
 
@@ -59,23 +59,6 @@ __all__ = [
     "check_operad_axioms",
     "check_derivation",
 ]
-
-
-def _outer_factor(vkey: Key, t: int, n_inner: int) -> tuple[list[Key], tuple[int, ...]]:
-    """The outer factor's share of every split of v o_t u.
-
-    Returns the r + 1 stretches of v around the occurrences of t, with the
-    values above t raised past the arity(u) - 1 new lobes, and the suffix
-    parities: entry p is the parity of the summed degrees of the outer
-    blocks p, ..., r-1.  Those blocks tile the suffix of v from the p-th
-    occurrence of t, and a suffix's degree is its length minus its number
-    of distinct values.
-    """
-    size = len(vkey)
-    lobe = chr(t)
-    lifted = _key([s if s <= t else s + n_inner - 1 for s in _seq(vkey)])
-    parities = [(size - p - len(set(vkey[p:]))) & 1 for p, w in enumerate(vkey) if w == lobe]
-    return lifted.split(lobe), tuple(parities)
 
 
 def _stretches(shifted: Key, uprefix: list[int], r: int) -> Iterator[tuple[tuple[Key, ...], int]]:
@@ -97,15 +80,25 @@ def _stretches(shifted: Key, uprefix: list[int], r: int) -> Iterator[tuple[tuple
 
 
 class _Outer:
-    """The outer term vkey of v o_t u with its ``_outer_factor``: the first
-    block ``head``, the later blocks ``tails`` and the suffix parities.
-    ``seq`` is the values of vkey, in which perfbench's tracer counts t."""
+    """The outer term vkey of v o_t u, cut at the occurrences of t into r + 1
+    blocks, with the values above t raised past the arity(u) - 1 new lobes:
+    the first block ``head`` and the later ones ``tails``.  Entry p of
+    ``parities`` is the parity of the summed degrees of the outer blocks
+    p, ..., r-1.  Those blocks tile the suffix of v from the p-th
+    occurrence of t, and a suffix's degree is its length minus its number
+    of distinct values.  ``seq`` is the values of vkey, in which
+    perfbench's tracer counts t."""
 
     __slots__ = ("seq", "head", "tails", "parities")
 
     def __init__(self, vkey: Key, t: int, n_inner: int):
-        blocks, self.parities = _outer_factor(vkey, t, n_inner)
-        self.seq, self.head, self.tails = _seq(vkey), blocks[0], blocks[1:]
+        self.seq = _seq(vkey)
+        size, lobe = len(vkey), chr(t)
+        lifted = _key([s if s <= t else s + n_inner - 1 for s in self.seq])
+        self.head, *self.tails = lifted.split(lobe)
+        self.parities = tuple(
+            (size - p - len(set(vkey[p:]))) & 1 for p, w in enumerate(vkey) if w == lobe
+        )
 
 
 class _Inner:
@@ -163,8 +156,7 @@ def composition_splits(
     composite is the concatenation of v's blocks and those stretches.
     """
     if isinstance(v, Surjection):
-        if not 1 <= t <= v.arity:
-            raise OutOfRangeError(f"lobe {t} not in 1..{v.arity}")
+        _check_index(t, v.arity, "lobe ")
         v, u = _Outer(_key(v.seq), t, u.arity), _Inner(_key(u.seq), t)
     head, tails = v.head, v.tails
     for stretches, sign in u.table(v.parities):
@@ -188,8 +180,7 @@ def compose(a: Union[Element, Surjection], t: int, b: Union[Element, Surjection]
     bideg_b = eb.bidegree()
     if bideg_a is None:
         return Element.zero()
-    if not 1 <= t <= bideg_a[0]:
-        raise OutOfRangeError(f"lobe {t} not in 1..{bideg_a[0]}")
+    _check_index(t, bideg_a[0], "lobe ")
     if bideg_b is None:
         return Element.zero()
     inner = [(_Inner(key, t), c) for key, c in eb._terms.items()]
@@ -263,11 +254,8 @@ def check_operad_axioms(
     as not applicable rather than guessed.
     """
     label = f"operad-axioms[a={a},i={i},b={b},j={j},c={c}]"
-    if not 1 <= i <= a.arity:
-        raise OutOfRangeError(f"i={i} not in 1..{a.arity}")
-    arity_ab = a.arity + b.arity - 1
-    if not 1 <= j <= arity_ab:
-        raise OutOfRangeError(f"j={j} not in 1..{arity_ab}")
+    _check_index(i, a.arity, "i=")
+    _check_index(j, a.arity + b.arity - 1, "j=")
 
     ab = compose_basis(a, i, b)
     lhs = compose(ab, j, c)
@@ -291,8 +279,7 @@ def check_operad_axioms(
 
 def check_derivation(a: Surjection, i: int, b: Surjection) -> VerificationReport:
     """Check the Leibniz rule for the differential against o_i."""
-    if not 1 <= i <= a.arity:
-        raise OutOfRangeError(f"i={i} not in 1..{a.arity}")
+    _check_index(i, a.arity, "i=")
     lhs = boundary(compose_basis(a, i, b))
     sign = -1 if a.degree % 2 else 1
     rhs = compose(boundary_basis(a), i, b) + sign * compose(a, i, boundary_basis(b))

@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import (
-    DegenerateError,
-    NonPositiveError,
-    NotSurjectiveError,
-    OutOfRangeError,
-    _quote,
-)
+from .errors import DegenerateError, NonPositiveError, NotSurjectiveError, _check_index, _quote
 
 __all__ = [
     "Surjection",
@@ -129,9 +123,7 @@ def insert_top_lobe(u: Surjection, j: int) -> Surjection:
 
     Adds one lobe above the lobe u(j); arity and degree each grow by one.
     """
-    size = len(u.seq)
-    if not 1 <= j <= size:
-        raise OutOfRangeError(f"position {j} not in 1..{size}")
+    _check_index(j, len(u.seq), "position ")
     new_value = u.arity + 1
     seq = u.seq[:j] + (new_value,) + u.seq[j - 1 :]
     return Surjection._unchecked(seq, u.arity + 1, u.degree + 1)

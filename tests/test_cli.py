@@ -13,7 +13,7 @@ import cactusops
 import cactusops.cli as cli_module
 import cactusops.operad as operad_module
 from cactusops.cli import main
-from conftest import as_seq, word_image_sum
+from conftest import word_image_sum
 
 
 def run(capsys, *argv):
@@ -499,15 +499,13 @@ class TestMutationSmoke:
 
     def test_dropped_koszul_rule_detected(self, capsys, monkeypatch):
         # Zero outer suffix parities make the sign of every split +1.
-        true_outer = operad_module._outer_factor
-        monkeypatch.setattr(
-            operad_module,
-            "_outer_factor",
-            lambda vkey, t, n_inner: (
-                true_outer(vkey, t, n_inner)[0],
-                (0,) * as_seq(vkey).count(t),
-            ),
-        )
+        true_init = operad_module._Outer.__init__
+
+        def mutant(self, vkey, t, n_inner):
+            true_init(self, vkey, t, n_inner)
+            self.parities = (0,) * len(self.parities)
+
+        monkeypatch.setattr(operad_module._Outer, "__init__", mutant)
         code, out, _ = run(capsys, *self.ARGS)
         assert code == 1
         assert "FAIL" in out

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -357,6 +358,76 @@ class TestParserFuzz:
         assert (err.value.line, err.value.column) == (1, 4)
         with pytest.raises(ParseError, match=r"trailing input '1{20}'\.\.\. \(300 characters\)"):
             parse_element("0 " + "1" * 300)
+
+
+class TestTextPositions:
+    """Positions are offsets into the text while it is scanned; an error
+    names its own as a line and column."""
+
+    @pytest.mark.parametrize(
+        "parse, text, error, message, line, column",
+        [
+            (parse_element, "(1,2)\r\n+ (1,", ParseError, "unexpected end of input", 2, 6),
+            (parse_element, "(1,2)\n\n  -", ParseError, "expected '(', found ", 3, 4),
+            (parse_element, "(1,2) +\r\n  2 \n\n", ParseError, "expected '*', found ", 2, 4),
+            (parse_element, " \r\n\t", ParseError, "empty element", 1, 1),
+            (parse_element, "(1,2)\n\r(2,1) ²", ParseError, "expected '(', found '²'", 2, 8),
+            (parse_element, "0\n\n  0", ParseError, "trailing input '0'", 3, 3),
+            (
+                parse_element,
+                "(1,2)\n+ (1,1,2)",
+                DegenerateError,
+                "adjacent equal entries 1 in (1, 1, 2)",
+                2,
+                3,
+            ),
+            (
+                parse_element,
+                "(1,2)\n  +(2,\n 3)",
+                NotSurjectiveError,
+                "value 1 missing from (2, 3)",
+                2,
+                4,
+            ),
+            (parse_surjection, " \n 1102", NonPositiveError, "entry 0 is not a positive integer", 2, 2),
+            (parse_surjection, "\n(1,\n 2)\n 3", ParseError, "trailing input '3'", 4, 2),
+        ],
+    )
+    def test_error_type_message_and_position(self, parse, text, error, message, line, column):
+        with pytest.raises(CactusOpsError) as err:
+            parse(text)
+        assert type(err.value) is error
+        assert str(err.value).startswith(message)
+        assert str(err.value).endswith(f" (line {line}, column {column})")
+        if error is ParseError:
+            assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_surjection, "", "expected '(', found end of input (line 1, column 1)"),
+            (parse_element, "(1,2", "expected ')', found end of input (line 1, column 5)"),
+            (parse_element, "2*", "expected '(', found end of input (line 1, column 3)"),
+        ],
+    )
+    def test_missing_token_is_found_at_end_of_input(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+    def test_parse_peak_memory_is_a_small_multiple_of_the_text(self):
+        # Values above 256 are each their own int object.  A token list with
+        # a position per token peaked at about 60 times the text.
+        n = 20000
+        text = f"{Surjection(range(1, n + 1))} - {Surjection(range(n, 0, -1))}"
+        tracemalloc.start()
+        try:
+            a = parse_element(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.coefficient(Surjection(range(n, 0, -1))) == -1
+        assert peak < 30 * len(text)
 
 
 class TestSerialize:

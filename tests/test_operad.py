@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +13,13 @@ from cactusops import (
     boundary,
     boundary_basis,
     check_derivation,
+    check_insertion_composition,
     check_operad_axioms,
     compose,
     compose_basis,
     composition_splits,
     enumerate_basis,
+    insert_top_lobe,
 )
 
 from conftest import as_seq, cacti, elements, surjections
@@ -264,3 +268,31 @@ class TestDerivation:
         i = data.draw(st.integers(1, a.arity))
         rep = check_derivation(a, i, b)
         assert rep.passed, rep.witness
+
+
+U = S(1, 2)
+
+# Each entry point that takes a 1-based index k, the label its messages give
+# the index, and the largest valid k.
+INDEXED = {
+    "composition_splits": (lambda k: list(composition_splits(U, k, U)), "lobe ", 2),
+    "compose_basis": (lambda k: compose_basis(U, k, U), "lobe ", 2),
+    "compose": (lambda k: compose(U, k, U), "lobe ", 2),
+    "check_operad_axioms-i": (lambda k: check_operad_axioms(U, k, U, 1, U), "i=", 2),
+    "check_operad_axioms-j": (lambda k: check_operad_axioms(U, 1, U, k, U), "j=", 3),
+    "check_derivation": (lambda k: check_derivation(U, k, U), "i=", 2),
+    "check_insertion_composition": (lambda k: check_insertion_composition(U, k, U), "slot ", 2),
+    "insert_top_lobe": (lambda k: insert_top_lobe(U, k), "position ", 2),
+}
+
+
+@pytest.mark.parametrize("name", INDEXED)
+def test_index_must_be_an_int_in_range(name):
+    call, label, high = INDEXED[name]
+    for k in (True, 1.0):
+        with pytest.raises(TypeError, match=re.escape(f"{label}{k!r} is not an int")):
+            call(k)
+    for k in (0, high + 1):
+        with pytest.raises(OutOfRangeError, match=re.escape(f"{label}{k} not in 1..{high}")):
+            call(k)
+    call(high)
