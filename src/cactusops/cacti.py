@@ -149,10 +149,12 @@ def _shapes(n: int, size: int, level: Optional[int]) -> Iterator[tuple[int, ...]
     there is no alternation state to keep.
     """
     limit = None if level is None else level + 1
-    # Alternation state per value pair: the number of maximal blocks in the
-    # restriction of the current prefix to the pair, and the block value it
-    # currently ends with (0 while the restriction is empty).
-    pair_last = [[0] * (n + 1) for _ in range(n + 1)]
+    # Alternation state: per value its latest position in the current
+    # prefix (-1 while absent), and per value pair the number of maximal
+    # blocks in the restriction of the prefix to the pair.  The restriction
+    # to {x, c} ends with c exactly when c occurred after x, so appending c
+    # opens a block of {x, c} exactly when latest[x] >= latest[c].
+    latest = [-1] * (n + 1)
     pair_blocks = [[0] * (n + 1) for _ in range(n + 1)]
     seq: list[int] = []
 
@@ -165,31 +167,22 @@ def _shapes(n: int, size: int, level: Optional[int]) -> Iterator[tuple[int, ...]
         for c in range(1, min(used + 1, n) + 1):
             if c == last or n - max(used, c) > remaining - 1:
                 continue
-            touched: list[tuple[int, int]] = []
+            opened: list[int] = []
             if limit is not None:
-                ok = True
-                for x in range(1, n + 1):
-                    if x == c or pair_last[x][c] == c:
-                        continue
-                    if pair_blocks[x][c] + 1 > limit:
-                        ok = False
-                        break
-                    touched.append((x, pair_last[x][c]))
-                if not ok:
+                opened = [x for x in range(1, n + 1) if x != c and latest[x] >= latest[c]]
+                if any(pair_blocks[c][x] >= limit for x in opened):
                     continue
-                for x, _ in touched:
+                for x in opened:
                     pair_blocks[x][c] += 1
                     pair_blocks[c][x] += 1
-                    pair_last[x][c] = c
-                    pair_last[c][x] = c
+            previous, latest[c] = latest[c], len(seq)
             seq.append(c)
             yield from extend(max(used, c))
             seq.pop()
-            for x, old in touched:
+            latest[c] = previous
+            for x in opened:
                 pair_blocks[x][c] -= 1
                 pair_blocks[c][x] -= 1
-                pair_last[x][c] = old
-                pair_last[c][x] = old
 
     return extend(0)
 

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and how their messages quote
 long values."""
 
+from typing import Optional
+
 __all__ = [
     "CactusOpsError",
     "NonPositiveError",
@@ -70,13 +72,17 @@ def _quote(value, show=repr) -> str:
     return f"{show(value[:_QUOTE_MAX])}... ({len(value)} characters)"
 
 
-def _check_index(value: object, high: int, label: str) -> None:
+def _check_index(value: object, high: Optional[int], label: str) -> None:
     """Refuse a 1-based index that is not an int (``TypeError``, ``bool``
-    included) or lies outside 1..high (``OutOfRangeError``).  label names
-    it in the message and ends with its separator ("lobe ", "i=")."""
+    included) or lies outside 1..high, or below 1 when high is None
+    (``OutOfRangeError``).  label names it in the message and ends with
+    its separator ("lobe ", "i=")."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{label}{value!r} is not an int")
-    if not 1 <= value <= high:
+    if high is None:
+        if value < 1:
+            raise OutOfRangeError(f"{label}{value} is below 1")
+    elif not 1 <= value <= high:
         raise OutOfRangeError(f"{label}{value} not in 1..{high}")
 
 

@@ -20,16 +20,16 @@ which ``compose_basis`` and ``compose`` add straight into the in-place
 accumulator of ``elements``; a term is its key, one code point per value
 (see ``elements``), from the factors to the composite.  It reads
 each factor from a plain record: an outer term's relabelled blocks and
-suffix parities (``_Outer``), an inner term's values shifted onto the new
-lobes, its recurrence prefix and its split tables (``_Inner``).
-``compose`` builds one record per term and call; a lone pair of
-surjections gets its two records built on the spot.  A split's sign
-depends on the outer term only through r and the mask of its suffix
-parities, and on the inner term only through the parity bits of its r
-stretches: the sign is the parity of ``bits & mask``.  So an inner term
-lists its splits into r stretches once per r and signs them once per
-(r, mask), and every composite is concatenated from that table.  All of
-it is dropped when the call returns.
+the mask of its suffix parities (``_Outer``), an inner term's values
+shifted onto the new lobes, its recurrence prefix and its splits
+(``_Inner``).  ``compose`` builds one record per term and call; a lone
+pair of surjections gets its two records built on the spot.  A split's
+sign depends on the outer term only through r and its mask, bit p the
+parity of outer suffix p, and on the inner term only through the parity
+bits of its r stretches: the sign is the parity of ``bits & mask``.  So
+an inner term lists its splits into r stretches, with their bits, once
+per r, and each composite is signed from ``bits & mask`` where it is
+written.  All of it is dropped when the call returns.
 
 The differential deletes one entry at a time; entries that are the only
 occurrence of their value are skipped, and deletions that would leave two
@@ -82,58 +82,38 @@ def _stretches(shifted: Key, uprefix: list[int], r: int) -> Iterator[tuple[tuple
 class _Outer:
     """The outer term vkey of v o_t u, cut at the occurrences of t into r + 1
     blocks, with the values above t raised past the arity(u) - 1 new lobes:
-    the first block ``head`` and the later ones ``tails``.  Entry p of
-    ``parities`` is the parity of the summed degrees of the outer blocks
+    the first block ``head`` and the later ones ``tails``.  Bit p of
+    ``mask`` is the parity of the summed degrees of the outer blocks
     p, ..., r-1.  Those blocks tile the suffix of v from the p-th
     occurrence of t, and a suffix's degree is its length minus its number
     of distinct values.  ``seq`` is the values of vkey, in which
     perfbench's tracer counts t."""
 
-    __slots__ = ("seq", "head", "tails", "parities")
+    __slots__ = ("seq", "head", "tails", "mask")
 
     def __init__(self, vkey: Key, t: int, n_inner: int):
         self.seq = _seq(vkey)
         size, lobe = len(vkey), chr(t)
         lifted = _key([s if s <= t else s + n_inner - 1 for s in self.seq])
         self.head, *self.tails = lifted.split(lobe)
-        self.parities = tuple(
-            (size - p - len(set(vkey[p:]))) & 1 for p, w in enumerate(vkey) if w == lobe
+        occurrences = [p for p, w in enumerate(vkey) if w == lobe]
+        self.mask = sum(
+            ((size - p - len(set(vkey[p:]))) & 1) << q for q, p in enumerate(occurrences)
         )
 
 
 class _Inner:
     """The inner term ukey of v o_t u with its values raised onto lobes
-    t.., its recurrence prefix, and its split tables, built on first use."""
+    t.., its recurrence prefix, and per r its ``(stretches, bits)`` splits
+    into r stretches (see ``_stretches``), listed on first use."""
 
-    __slots__ = ("seq", "shifted", "prefix", "stretches", "tables")
+    __slots__ = ("seq", "shifted", "prefix", "splits")
 
     def __init__(self, ukey: Key, t: int):
         self.seq = ukey
         self.shifted = _key([s + t - 1 for s in _seq(ukey)])
         self.prefix = recurrence_prefix(ukey)
-        self.stretches = {}
-        self.tables = {}
-
-    def table(self, parities: tuple[int, ...]) -> list[tuple[tuple[Key, ...], int]]:
-        """The ``(stretches, sign)`` of every split against an outer term
-        with these suffix parities, in the order of ``_stretches``.
-
-        The splits into r = len(parities) stretches are listed once per r,
-        and signed once per parities, that is per (r, mask) with bit p of
-        mask the outer suffix parity p: the sign of the closed form in the
-        module docstring is the parity of ``bits & mask``.
-        """
-        table = self.tables.get(parities)
-        if table is None:
-            r = len(parities)
-            splits = self.stretches.get(r)
-            if splits is None:
-                splits = self.stretches[r] = list(_stretches(self.shifted, self.prefix, r))
-            mask = sum(parity << p for p, parity in enumerate(parities))
-            table = self.tables[parities] = [
-                (stretches, -1 if (bits & mask).bit_count() & 1 else 1) for stretches, bits in splits
-            ]
-        return table
+        self.splits = {}
 
 
 def composition_splits(
@@ -152,18 +132,23 @@ def composition_splits(
 
     The factors come as records built by ``compose``, or as two
     surjections, whose records are built here after the lobe is checked.
-    Either way the signed stretches come from ``u.table`` and each
-    composite is the concatenation of v's blocks and those stretches.
+    Either way the stretches and their parity bits come from ``u.splits``,
+    each composite is the concatenation of v's blocks and those stretches,
+    and its sign is the parity of ``bits & v.mask``.
     """
     if isinstance(v, Surjection):
         _check_index(t, v.arity, "lobe ")
         v, u = _Outer(_key(v.seq), t, u.arity), _Inner(_key(u.seq), t)
-    head, tails = v.head, v.tails
-    for stretches, sign in u.table(v.parities):
+    head, tails, mask = v.head, v.tails, v.mask
+    r = len(tails)
+    splits = u.splits.get(r)
+    if splits is None:
+        splits = u.splits[r] = list(_stretches(u.shifted, u.prefix, r))
+    for stretches, bits in splits:
         composite = head
         for s, tail in zip(stretches, tails):
             composite += s + tail
-        yield composite, sign
+        yield composite, -1 if (bits & mask).bit_count() & 1 else 1
 
 
 def compose_basis(v: Surjection, t: int, u: Surjection) -> Element:
@@ -178,10 +163,9 @@ def compose(a: Union[Element, Surjection], t: int, b: Union[Element, Surjection]
     ea, eb = as_element(a), as_element(b)
     bideg_a = ea.bidegree()
     bideg_b = eb.bidegree()
-    if bideg_a is None:
-        return Element.zero()
-    _check_index(t, bideg_a[0], "lobe ")
-    if bideg_b is None:
+    # A zero element has no arity: every lobe from 1 up fits it.
+    _check_index(t, None if bideg_a is None else bideg_a[0], "lobe ")
+    if bideg_a is None or bideg_b is None:
         return Element.zero()
     inner = [(_Inner(key, t), c) for key, c in eb._terms.items()]
     data: dict[Key, int] = {}

@@ -35,6 +35,7 @@ from .cacti import (
     prime_cacti_filtered,
 )
 from .elements import Element
+from .formats import element_from_json
 from .operad import boundary, boundary_basis, check_derivation, check_operad_axioms, compose
 from .reports import VerificationReport, equality_report
 from .surjections import Surjection
@@ -257,13 +258,7 @@ def load_golden_table() -> list[tuple[str, Element]]:
     doc = json.loads(
         resources.files("cactusops.data").joinpath("golden_table.json").read_text()
     )
-    rows = []
-    for row in doc["rows"]:
-        element = Element(
-            [(Surjection(tuple(t["seq"])), t["coeff"]) for t in row["terms"]]
-        )
-        rows.append((row["word"], element))
-    return rows
+    return [(row["word"], element_from_json(row)) for row in doc["rows"]]
 
 
 def run_golden_table(cfg: SuiteConfig) -> list[VerificationReport]:

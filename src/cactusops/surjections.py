@@ -87,17 +87,9 @@ class Surjection:
         return f"Surjection({self.seq!r})"
 
 
-# The text of every value below 256, so that printing a large element does
-# not call ``str`` on each of its integers.
-_digits = tuple(str(v) for v in range(256)).__getitem__
-
-
 def _seq_str(seq: tuple[int, ...]) -> str:
     """The text form ``(v1,v2,...)`` of a value sequence."""
-    try:
-        return "(" + ",".join(map(_digits, seq)) + ")"
-    except IndexError:  # a value of 256 or more
-        return "(" + ",".join(map(str, seq)) + ")"
+    return "(" + ",".join(map(str, seq)) + ")"
 
 
 def recurrence_prefix(seq: tuple[int, ...]) -> list[int]:

@@ -127,7 +127,7 @@ class TestEnumerateBasis:
         out = enumerate_basis(3, 1, 2)
         assert out == sorted(out)
 
-    @pytest.mark.parametrize("level", [1, 2, 3, None])
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, None])
     def test_matches_definition(self, level):
         for n in range(1, 5):
             for k in range(0, 8 - n):

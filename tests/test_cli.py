@@ -498,12 +498,12 @@ class TestMutationSmoke:
         assert "FAIL" in out
 
     def test_dropped_koszul_rule_detected(self, capsys, monkeypatch):
-        # Zero outer suffix parities make the sign of every split +1.
+        # A zero mask of outer suffix parities makes the sign of every split +1.
         true_init = operad_module._Outer.__init__
 
         def mutant(self, vkey, t, n_inner):
             true_init(self, vkey, t, n_inner)
-            self.parities = (0,) * len(self.parities)
+            self.mask = 0
 
         monkeypatch.setattr(operad_module._Outer, "__init__", mutant)
         code, out, _ = run(capsys, *self.ARGS)

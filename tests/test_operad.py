@@ -97,8 +97,9 @@ class TestComposeElements:
 
     def test_shared_split_tables_match_definition_oracle(self, rng):
         # Outer terms meeting the lobe 1..4 times, two per pattern of outer
-        # suffix parities, so that the second of each pair reads a split
-        # table and tables of one r differ in their signs.
+        # suffix parities, so that the second of each pair reads the splits
+        # its inner terms listed for its r, and the splits of one r are
+        # signed against masks that differ.
         pool = list(enumerate_basis(3, 4, level=None))
         chosen = set()
         patterns = {}
@@ -131,6 +132,20 @@ class TestComposeElements:
     def test_zero_factor_gives_zero(self):
         assert compose(Element.zero(), 1, E(1, 2)) == Element.zero()
         assert compose(E(1, 2), 1, Element.zero()) == Element.zero()
+        for t in (2, 7, 10**30):  # a zero element has no arity to exceed
+            assert compose(Element.zero(), t, E(1, 2)) == Element.zero()
+            assert compose(Element.zero(), t, Element.zero()) == Element.zero()
+
+    @pytest.mark.parametrize("t", [True, 1.0, "x"])
+    def test_lobe_type_checked_against_zero_left_operand(self, t):
+        with pytest.raises(TypeError, match=re.escape(f"lobe {t!r} is not an int")):
+            compose(Element.zero(), t, E(1, 2))
+
+    @pytest.mark.parametrize("t", [0, -5])
+    def test_lobe_below_one_checked_against_zero_left_operand(self, t):
+        for b in (E(1, 2), Element.zero()):
+            with pytest.raises(OutOfRangeError, match=rf"^lobe {t} is below 1$"):
+                compose(Element.zero(), t, b)
 
     def test_lobe_checked_against_zero_right_operand(self):
         with pytest.raises(OutOfRangeError, match=r"lobe 3 not in 1\.\.2"):
