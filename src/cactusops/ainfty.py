@@ -18,10 +18,11 @@ position j.  Summing word images over all words of one arity gives the
 arity-n component of the homotopy-associative structure whose binary part
 is the symmetrized product (1,2) + (2,1).
 
-Every insertion takes its sign from one rule, ``_insertion_row``.  One
-kernel, ``_insertion_half``, writes the white or the black insertions of
-an element into a dict in one pass over its terms; word images are
-folded from it.  Insertions never collide (see the kernel), so they are
+Every insertion takes its sign from one rule, ``_insertion_row``, and is
+written by one row writer, ``_row_insertions``, for the walk below and
+for the colour kernel ``_insertion_half``, which puts the white or the
+black insertions of an element into a dict; word images are folded from
+it.  Insertions never collide (see the kernel), so they are
 assigned, not summed; the same fact makes the word images of one arity
 partition the prime cacti.  Since insertion is linear, the structure map
 is psi_n = white(psi_{n-1}) + black(psi_{n-1}), and it has one builder:
@@ -45,9 +46,10 @@ j = p - 1 in term order, which is sorted: they share P and n and then
 differ as the terms do.  A group of one term emits its insertions at
 every j >= p - 1 with j descending, since u~j' < u~j for j' > j (they
 first differ at j + 1, where u~j has n); so only the terms' branching
-prefixes are walked.  The walk yields blocks of at most ``PSI_CHUNK``
-terms, and each block must increase strictly from the last term before
-it: an equal step would be two coinciding insertions, and raises.
+prefixes are walked.  ``_position_insertions`` writes a group's
+insertions at one position, lazily.  Only ``_blocks`` cuts the stream,
+into blocks of ``PSI_CHUNK`` terms, each increasing strictly from the term
+before it: an equal step would be two coinciding insertions, and raises.
 Every term, here and in the insertion kernel, is its key of ``elements``,
 one code point per value, so the stream's pairs are the dict's items.
 
@@ -60,13 +62,14 @@ differential; structure maps, or differentials of them, above
 from __future__ import annotations
 
 from functools import cache
-from itertools import pairwise, product
+from itertools import chain, islice, pairwise, product
 from operator import itemgetter, lt
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .cacti import prime_cacti_count
 from .elements import Element, Key, _key, _seq, as_element
-from .errors import MaxValueNotUniqueError, ResourceBoundError, WordError, _check_index, _quote
+from .errors import MaxValueNotUniqueError, ResourceBoundError, WordError
+from .errors import _check_count, _check_index, _quote
 from .operad import boundary, compose
 from .reports import VerificationReport, sides_report
 from .surjections import Surjection, _seq_str
@@ -106,8 +109,7 @@ def _letters(letters: str) -> str:
 
 def all_words(n: int) -> list[str]:
     """The 2**(n-1) words of arity n, white before black at each position."""
-    if n < 2:
-        raise ValueError(f"arity {n} has no generator words")
+    _check_count(n, 2, "arity ", f"arity {n} has no generator words")
     return ["".join(p) for p in product("wb", repeat=n - 1)]
 
 
@@ -146,7 +148,7 @@ def _insertion_row(key: Key) -> tuple[int, int]:
 
 def _insertion_half(a: Union[Element, Surjection], color: str) -> Element:
     """The insertion sum of ``a`` of the color ``'w'`` or ``'b'``, in one
-    pass over its terms.
+    pass over its terms, each written by ``_row_insertions``.
 
     Each insertion is assigned, not added: u comes back from u~j by
     deleting the unique top value n+1 and one of the two equal neighbours
@@ -159,11 +161,10 @@ def _insertion_half(a: Union[Element, Surjection], color: str) -> Element:
     made = 0
     for key, c in ea._terms.items():
         top, flips = _insertion_row(key)
-        new = _key((ord(key[top]) + 1,))
-        positions = range(top) if color == WHITE else range(top + 1, len(key))
-        made += len(positions)
-        for j in positions:
-            out[key[: j + 1] + new + key[j:]] = -c if flips >> j & 1 else c
+        lo, hi = (0, top) if color == WHITE else (top + 1, len(key))
+        row = _row_insertions((key, c, top, flips), lo, hi, _key((ord(key[top]) + 1,)))
+        made += len(row)
+        out.update(row)
     if len(out) != made:
         raise RuntimeError(f"{made} insertions added {len(out)} terms: two insertions coincide")
     return Element._trusted(out)
@@ -204,8 +205,7 @@ def _check_image_size(n: int, differential: bool = False) -> None:
     most 2n-3 deletions, as its top value occurs once, so that is
     (2n-3) * 2(2n-5)!! terms, the prime cacti one arity up.
     """
-    if n < 2:
-        raise ValueError(f"arity {n} has no generator words")
+    _check_count(n, 2, "arity ", f"arity {n} has no generator words")
     cap = 10**100  # a count is quoted in full up to here, and the work stays bounded
     count = prime_cacti_count(n + 1 if differential else n, cap)
     if count > _MAX_IMAGE_TERMS:
@@ -234,34 +234,33 @@ def a_infinity_image(n: int) -> Element:
 
 def _position_insertions(
     rows: list[tuple[Key, int, int, int]], j: int, new: Key
-) -> list[tuple[Key, int]]:
+) -> Iterable[tuple[Key, int]]:
     """The insertions at 0-based position j of rows that share their first
-    j + 1 entries, in row order; a row is a term's key, its coefficient
-    and its ``_insertion_row``.  The shared entries hold the top of every
-    row or of none."""
+    j + 1 entries, lazily in row order; a row is a term's key, coefficient
+    and ``_insertion_row``.  The shared head holds every row's top or none."""
     first, _, top, _ = rows[0]
     if top == j:
-        return []
+        return ()
     head = first[: j + 1] + new
-    return [(head + key[j:], -c if flips >> j & 1 else c) for key, c, _, flips in rows]
+    return ((head + key[j:], -c if flips >> j & 1 else c) for key, c, _, flips in rows)
 
 
 def _row_insertions(
-    row: tuple[Key, int, int, int], lo: int, new: Key
+    row: tuple[Key, int, int, int], lo: int, hi: int, new: Key
 ) -> list[tuple[Key, int]]:
-    """The insertions of one row at every position from lo on, in order:
-    j descending, since u~j has the top value where u~j' (j' > j) still
-    has an entry of u."""
+    """The insertions of one row at every position j with lo <= j < hi
+    other than its top, in order: j descending, since u~j has the top
+    value where u~j' (j' > j) still has an entry of u."""
     key, c, top, flips = row
     return [
         (key[: j + 1] + new + key[j:], -c if flips >> j & 1 else c)
-        for j in range(len(key) - 1, lo - 1, -1)
+        for j in range(hi - 1, lo - 1, -1)
         if j != top
     ]
 
 
-def _prefix_walk(n: int) -> Iterator[list[tuple[Key, int]]]:
-    """The insertions into sorted psi_{n-1}, as lists whose concatenation
+def _prefix_walk(n: int) -> Iterator[Iterable[tuple[Key, int]]]:
+    """The insertions into sorted psi_{n-1}, as parts whose concatenation
     is psi_n in order (see the module docstring)."""
     rows = [(key, c, *_insertion_row(key)) for block in _psi_blocks(n - 1) for key, c in block]
     size = len(rows[0][0])
@@ -279,31 +278,24 @@ def _prefix_walk(n: int) -> Iterator[list[tuple[Key, int]]]:
     # prefix that the group around it does not share, j descending.
     groups = [(0, 0)]
     for i, row in enumerate(rows):
-        yield _row_insertions(row, max(common[i], common[i + 1]), new)
+        yield _row_insertions(row, max(common[i], common[i + 1]), size, new)
         first, after = i, common[i + 1]
         while groups[-1][0] > after:
             length, first = groups.pop()
+            group = rows[first : i + 1]
             for j in range(length - 1, max(after, groups[-1][0]) - 1, -1):
-                for k in range(first, i + 1, PSI_CHUNK):
-                    yield _position_insertions(rows[k : min(k + PSI_CHUNK, i + 1)], j, new)
+                yield _position_insertions(group, j, new)
         if groups[-1][0] < after:
             groups.append((after, first))
 
 
-def _blocks(n: int, parts: Iterator[list[tuple[Key, int]]]) -> Iterator[list[tuple[Key, int]]]:
-    """The terms of parts in blocks of ``PSI_CHUNK``, each checked to
-    increase strictly from the last term of the block before it."""
+def _blocks(n: int, parts: Iterator[Iterable]) -> Iterator[list[tuple[Key, int]]]:
+    """The terms of parts in blocks of ``PSI_CHUNK``, the last one maybe
+    short, each checked to increase strictly from the term before it."""
+    terms = chain.from_iterable(parts)
     last = ""
-    block: list[tuple[Key, int]] = []
-    for part in parts:
-        block += part
-        while len(block) >= PSI_CHUNK:
-            out = block[:PSI_CHUNK]
-            del block[:PSI_CHUNK]
-            last = _check_increasing(n, last, out)
-            yield out
-    if block:
-        _check_increasing(n, last, block)
+    while block := list(islice(terms, PSI_CHUNK)):
+        last = _check_increasing(n, last, block)
         yield block
 
 

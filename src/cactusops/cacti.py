@@ -27,7 +27,7 @@ from itertools import permutations
 from operator import itemgetter
 from typing import Iterator, Optional
 
-from .errors import NotACactusError, ResourceBoundError
+from .errors import NotACactusError, ResourceBoundError, _check_count
 from .surjections import Surjection, insert_top_lobe, recurrence_prefix
 
 __all__ = [
@@ -204,11 +204,13 @@ def enumerate_basis(n: int, k: int, level: Optional[int] = 2) -> list[Surjection
     """All arity-n, degree-k surjections within a filtration stage, sorted.
 
     ``level=None`` enumerates the full basis, as shapes times relabellings
-    (see the module docstring).  Raises ValueError for n < 1, k < 0 or
-    level < 1, and ResourceBoundError when n + k exceeds the length cap.
+    (see the module docstring).  Raises TypeError for a non-int, ValueError
+    for n < 1, k < 0 or level < 1, and ResourceBoundError past the length cap.
     """
-    if n < 1 or k < 0 or (level is not None and level < 1):
-        raise ValueError(f"need arity >= 1, degree >= 0, level >= 1; got {n}, {k}, {level}")
+    message = f"need arity >= 1, degree >= 0, level >= 1; got {n}, {k}, {level}"
+    _check_count(n, 1, "arity ", message)
+    _check_count(k, 0, "degree ", message)
+    _check_count(1 if level is None else level, 1, "level ", message)
     size = n + k
     if size > (cap := length_cap()):
         raise ResourceBoundError(f"length {size} exceeds cap {cap}")
@@ -263,16 +265,14 @@ def prime_cacti(n: int) -> list[Surjection]:
 def _check_prime_length(n: int) -> None:
     """Refuse an arity below 2, or one whose prime cacti, of length 2n-2,
     exceed the length cap."""
-    if n < 2:
-        raise ValueError(f"arity {n} has no prime cacti")
+    _check_count(n, 2, "arity ", f"arity {n} has no prime cacti")
     if 2 * n - 2 > (cap := length_cap()):
         raise ResourceBoundError(f"length {2 * n - 2} exceeds cap {cap}")
 
 
 def prime_cacti_filtered(n: int) -> list[Surjection]:
     """Independent route to the prime cacti: filter the full enumeration."""
-    if n < 2:
-        raise ValueError(f"arity {n} has no prime cacti")
+    _check_prime_length(n)
     return [u for u in enumerate_basis(n, n - 2, 2) if avoids_prime_patterns(u)]
 
 
@@ -280,8 +280,7 @@ def prime_cacti_count(n: int, cap: Optional[int] = None) -> int:
     """Closed-form size 2*(2n-5)!! of the arity-n prime cacti.  With cap,
     the product stops once it passes cap, so the work stays bounded at
     any arity and a result above cap is only a lower bound."""
-    if n < 2:
-        raise ValueError(f"arity {n} has no prime cacti")
+    _check_count(n, 2, "arity ", f"arity {n} has no prime cacti")
     out = 2
     for odd in range(3, 2 * n - 4, 2):
         out *= odd

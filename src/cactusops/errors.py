@@ -86,6 +86,14 @@ def _check_index(value: object, high: Optional[int], label: str) -> None:
         raise OutOfRangeError(f"{label}{value} not in 1..{high}")
 
 
+def _check_count(value: object, least: int, label: str, message: str) -> None:
+    """Refuse a count that is not an int, as ``_check_index`` does, or is below least."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{label}{value!r} is not an int")
+    if value < least:
+        raise ValueError(message)
+
+
 class CactusOpsError(Exception):
     """Base class for all errors raised by this package."""
 

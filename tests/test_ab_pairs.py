@@ -1,14 +1,26 @@
+import random
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-from ab_pairs import alternate, quartiles, summarize  # noqa: E402
+import run as perfbench_run  # noqa: E402
+from ab_pairs import alternate, quartiles, source_digest, summarize  # noqa: E402
 
 
 def test_quartiles_match_perfbench():
     assert quartiles([3.0]) == (3.0, 3.0, 3.0)
     assert quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (1.5, 3.0, 4.5)
+    rng = random.Random(0)
+    for size in range(1, 10):
+        values = rng.choices([0.25, 1.0, 1.0, 2.5, 7.0], k=size)  # ties, unsorted
+        assert quartiles(values) == perfbench_run.quartiles(values), values
+
+
+def test_source_digest_matches_perfbench():
+    assert source_digest(ROOT) == perfbench_run.source_digest()
 
 
 def test_summary_counts_wins_and_compares_with_the_parent_spread():

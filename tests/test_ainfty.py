@@ -1,4 +1,5 @@
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -27,7 +28,7 @@ from cactusops import (
 )
 
 import cactusops.ainfty as ainfty_module
-from cactusops.ainfty import _MAX_IMAGE_TERMS, _check_image_size, _psi_blocks
+from cactusops.ainfty import _MAX_IMAGE_TERMS, _blocks, _check_image_size, _psi_blocks
 from conftest import ELIGIBLE_POOL, as_key, as_seq, eligible_cacti, elements, word_image_sum
 from oracles import naive_insertion
 
@@ -279,6 +280,36 @@ class TestStructureImage:
         assert a_infinity_image(3).coefficient(S(1, 3, 1, 2)) == 1
         assert a_infinity_image(3).coefficient(S(2, 1, 3, 1)) == -1
         assert a_infinity_image(2).coefficient(S(1, 2, 1)) == 0
+
+
+class TestBlocks:
+    """``_blocks`` cuts any parts into blocks of ``PSI_CHUNK`` terms."""
+
+    @staticmethod
+    def parts(terms):
+        # Lists, generators and empty parts; the generator holds terms 2..8,
+        # which span three blocks of 3.
+        return [terms[:2], iter(()), (t for t in terms[2:9]), [], iter(terms[9:])]
+
+    def test_blocks_have_the_chunk_size_and_the_terms_in_order(self, monkeypatch):
+        monkeypatch.setattr(ainfty_module, "PSI_CHUNK", 3)
+        terms = [(as_key((v,)), v) for v in range(1, 12)]
+        blocks = list(_blocks(5, self.parts(terms)))
+        assert [len(block) for block in blocks] == [3, 3, 3, 2]
+        assert [t for block in blocks for t in block] == terms
+
+    @pytest.mark.parametrize("at, value", [(3, 3), (4, 2)], ids=["block-boundary", "in-block"])
+    def test_step_that_does_not_increase_raises(self, monkeypatch, at, value):
+        # Term 3 opens the second block and repeats the key before it; term
+        # 4 falls below term 3 inside that block.
+        monkeypatch.setattr(ainfty_module, "PSI_CHUNK", 3)
+        terms = [(as_key((v,)), 1) for v in range(1, 12)]
+        terms[at] = (as_key((value,)), 1)
+        blocks = _blocks(5, self.parts(terms))
+        assert next(blocks) == terms[:3]
+        message = f"psi_5 stream does not increase at ({value})"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            next(blocks)
 
 
 class TestSplices:

@@ -1,3 +1,4 @@
+import re
 from math import comb, factorial
 
 import pytest
@@ -8,6 +9,9 @@ from cactusops import (
     NotACactusError,
     ResourceBoundError,
     Surjection,
+    a_infinity_boundary_image,
+    a_infinity_image,
+    all_words,
     avoids_prime_patterns,
     boundary_basis,
     cactus_violation,
@@ -248,3 +252,33 @@ class TestPrimeCacti:
     def test_arity_bound(self):
         with pytest.raises(ValueError):
             prime_cacti(1)
+
+
+# Each entry point that takes a count: the call, the label of its type
+# error, the least count it accepts and its ValueError one below that.
+NEED = "need arity >= 1, degree >= 0, level >= 1; got "
+COUNTED = {
+    "all_words": (all_words, "arity ", 2, "arity 1 has no generator words"),
+    "a_infinity_image": (a_infinity_image, "arity ", 2, "arity 1 has no generator words"),
+    "a_infinity_boundary_image": (
+        a_infinity_boundary_image, "arity ", 2, "arity 1 has no generator words"
+    ),
+    "prime_cacti": (prime_cacti, "arity ", 2, "arity 1 has no prime cacti"),
+    "prime_cacti_filtered": (prime_cacti_filtered, "arity ", 2, "arity 1 has no prime cacti"),
+    "prime_cacti_count": (prime_cacti_count, "arity ", 2, "arity 1 has no prime cacti"),
+    "enumerate_basis-arity": (lambda n: enumerate_basis(n, 0), "arity ", 1, NEED + "0, 0, 2"),
+    "enumerate_basis-degree": (lambda k: enumerate_basis(2, k), "degree ", 0, NEED + "2, -1, 2"),
+    "enumerate_basis-level": (lambda m: enumerate_basis(2, 1, m), "level ", 1, NEED + "2, 1, 0"),
+}
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_count_must_be_an_int_from_the_least(name):
+    call, label, least, below = COUNTED[name]
+    call(3)  # a memo of 3 must not answer 3.0
+    for value in (True, 3.0, 1.0) if label == "degree " else (True, 3.0):
+        with pytest.raises(TypeError, match=re.escape(f"{label}{value!r} is not an int")):
+            call(value)
+    with pytest.raises(ValueError, match=re.escape(below)):
+        call(least - 1)
+    call(least)
