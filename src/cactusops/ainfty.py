@@ -29,8 +29,10 @@ is psi_n = white(psi_{n-1}) + black(psi_{n-1}), and it has one builder:
 ``_psi_blocks`` streams it in sorted order, and ``a_infinity_image`` is
 the dict of that stream.  Word images and structure maps are memoized
 with ``functools.cache``.
-The splice sums of the boundary images do cancel, and are streamed into
-``Element.sum``, which adds each part into one dict in place.
+The splice sums of the boundary images do cancel: each composition of
+the sum is added, with its sign, straight into one dict by
+``operad._compose_into``, so no composition is built as an element of
+its own.
 
 ``_psi_blocks`` streams psi_n in lexicographic order, holding only
 psi_{n-1}, by one walk over the sorted terms u of psi_{n-1}, which the
@@ -70,7 +72,7 @@ from .cacti import prime_cacti_count
 from .elements import Element, Key, _key, _seq, as_element
 from .errors import MaxValueNotUniqueError, ResourceBoundError, WordError
 from .errors import _check_count, _check_index, _quote
-from .operad import boundary, compose
+from .operad import _compose_into, boundary, compose
 from .reports import VerificationReport, sides_report
 from .surjections import Surjection, _seq_str
 
@@ -109,7 +111,7 @@ def _letters(letters: str) -> str:
 
 def all_words(n: int) -> list[str]:
     """The 2**(n-1) words of arity n, white before black at each position."""
-    _check_count(n, 2, "arity ", f"arity {n} has no generator words")
+    _check_count(n, 2, "arity ", f"arity {_quote(n)} has no generator words")
     return ["".join(p) for p in product("wb", repeat=n - 1)]
 
 
@@ -205,7 +207,7 @@ def _check_image_size(n: int, differential: bool = False) -> None:
     most 2n-3 deletions, as its top value occurs once, so that is
     (2n-3) * 2(2n-5)!! terms, the prime cacti one arity up.
     """
-    _check_count(n, 2, "arity ", f"arity {n} has no generator words")
+    _check_count(n, 2, "arity ", f"arity {_quote(n)} has no generator words")
     cap = 10**100  # a count is quoted in full up to here, and the work stays bounded
     count = prime_cacti_count(n + 1 if differential else n, cap)
     if count > _MAX_IMAGE_TERMS:
@@ -214,7 +216,7 @@ def _check_image_size(n: int, differential: bool = False) -> None:
             what = "differential of the structure map has up to"
         size = "over 10**100" if count > cap else count
         raise ResourceBoundError(
-            f"arity {n}: the {what} {size} terms, more than the bound of {_MAX_IMAGE_TERMS}"
+            f"arity {_quote(n)}: the {what} {size} terms, more than the bound of {_MAX_IMAGE_TERMS}"
         )
 
 
@@ -347,31 +349,28 @@ def word_boundary_image(word: str) -> Element:
 
     Sums the composed images of every splice decomposition outer o_slot
     inner with sign (-1)**(slot - 1 + inner_arity * (outer_arity - slot)).
-    Zero in arity 2, where no decomposition exists.
+    Zero in arity 2, where no decomposition exists.  Every composite is
+    added into one dict.
     """
-    return Element.sum(
-        (
-            _splice_sign(len(outer) + 1, len(inner) + 1, slot),
-            compose(word_image(outer), slot, word_image(inner)),
-        )
-        for outer, inner, slot in splice_decompositions(word)
-    )
+    data: dict[Key, int] = {}
+    for outer, inner, slot in splice_decompositions(word):
+        sign = _splice_sign(len(outer) + 1, len(inner) + 1, slot)
+        _compose_into(data, word_image(outer), slot, word_image(inner), sign)
+    return Element._trusted(data)
 
 
 def a_infinity_boundary_image(n: int) -> Element:
     """Image of the arity-n generator's boundary in the one-color setting:
     the same splice sum with both factors replaced by full structure maps."""
     _check_image_size(n, differential=True)
-
-    def parts() -> Iterator[tuple[int, Element]]:
-        for p in range(2, n):
-            q = n + 1 - p
-            outer = a_infinity_image(p)
-            inner = a_infinity_image(q)
-            for i in range(1, p + 1):
-                yield _splice_sign(p, q, i), compose(outer, i, inner)
-
-    return Element.sum(parts())
+    data: dict[Key, int] = {}
+    for p in range(2, n):
+        q = n + 1 - p
+        outer = a_infinity_image(p)
+        inner = a_infinity_image(q)
+        for i in range(1, p + 1):
+            _compose_into(data, outer, i, inner, _splice_sign(p, q, i))
+    return Element._trusted(data)
 
 
 def check_top_insertion_identities(u: Surjection) -> VerificationReport:

@@ -27,7 +27,7 @@ from itertools import permutations
 from operator import itemgetter
 from typing import Iterator, Optional
 
-from .errors import NotACactusError, ResourceBoundError, _check_count
+from .errors import NotACactusError, ResourceBoundError, _check_count, _quote
 from .surjections import Surjection, insert_top_lobe, recurrence_prefix
 
 __all__ = [
@@ -207,13 +207,16 @@ def enumerate_basis(n: int, k: int, level: Optional[int] = 2) -> list[Surjection
     (see the module docstring).  Raises TypeError for a non-int, ValueError
     for n < 1, k < 0 or level < 1, and ResourceBoundError past the length cap.
     """
-    message = f"need arity >= 1, degree >= 0, level >= 1; got {n}, {k}, {level}"
+    message = (
+        "need arity >= 1, degree >= 0, level >= 1; "
+        f"got {_quote(n)}, {_quote(k)}, {_quote(level)}"
+    )
     _check_count(n, 1, "arity ", message)
     _check_count(k, 0, "degree ", message)
     _check_count(1 if level is None else level, 1, "level ", message)
     size = n + k
     if size > (cap := length_cap()):
-        raise ResourceBoundError(f"length {size} exceeds cap {cap}")
+        raise ResourceBoundError(f"length {_quote(size)} exceeds cap {cap}")
     out: list = list(_sequences(n, size, level))
     out.sort()
     for i, seq in enumerate(out):
@@ -265,9 +268,9 @@ def prime_cacti(n: int) -> list[Surjection]:
 def _check_prime_length(n: int) -> None:
     """Refuse an arity below 2, or one whose prime cacti, of length 2n-2,
     exceed the length cap."""
-    _check_count(n, 2, "arity ", f"arity {n} has no prime cacti")
+    _check_count(n, 2, "arity ", f"arity {_quote(n)} has no prime cacti")
     if 2 * n - 2 > (cap := length_cap()):
-        raise ResourceBoundError(f"length {2 * n - 2} exceeds cap {cap}")
+        raise ResourceBoundError(f"length {_quote(2 * n - 2)} exceeds cap {cap}")
 
 
 def prime_cacti_filtered(n: int) -> list[Surjection]:
@@ -280,7 +283,7 @@ def prime_cacti_count(n: int, cap: Optional[int] = None) -> int:
     """Closed-form size 2*(2n-5)!! of the arity-n prime cacti.  With cap,
     the product stops once it passes cap, so the work stays bounded at
     any arity and a result above cap is only a lower bound."""
-    _check_count(n, 2, "arity ", f"arity {n} has no prime cacti")
+    _check_count(n, 2, "arity ", f"arity {_quote(n)} has no prime cacti")
     out = 2
     for odd in range(3, 2 * n - 4, 2):
         out *= odd

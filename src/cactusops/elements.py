@@ -38,15 +38,19 @@ __all__ = ["Element", "as_element"]
 Key = str
 
 
+def _above_key_limit(v: int) -> ResourceBoundError:
+    """The error that refuses a value v above ``sys.maxunicode``."""
+    return ResourceBoundError(
+        f"value {v} is above {sys.maxunicode}, the largest a term key holds"
+    )
+
+
 def _key(seq: tuple[int, ...]) -> Key:
     """The term key of positive values: one code point each."""
     try:
         return "".join(map(chr, seq))
     except ValueError:
-        v = next(v for v in seq if v > sys.maxunicode)
-        raise ResourceBoundError(
-            f"value {v} is above {sys.maxunicode}, the largest a term key holds"
-        ) from None
+        raise _above_key_limit(next(v for v in seq if v > sys.maxunicode)) from None
 
 
 def _seq(key: Key) -> tuple[int, ...]:

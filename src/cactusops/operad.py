@@ -16,17 +16,21 @@ no other block, so the sign of a split has the closed form
 one product per block read off the suffix parities of the outer degrees.
 
 The one kernel, ``composition_splits``, yields ``(key, sign)`` pairs,
-which ``compose_basis`` and ``compose`` add straight into the in-place
-accumulator of ``elements``; a term is its key, one code point per value
-(see ``elements``), from the factors to the composite.  It reads
+which ``compose_basis`` and ``_compose_into`` add straight into the
+in-place accumulator of ``elements``; a term is its key, one code point
+per value (see ``elements``), from the factors to the composite.  It reads
 each factor from a plain record: an outer term's relabelled blocks and
 the mask of its suffix parities (``_Outer``), an inner term's values
 shifted onto the new lobes, its recurrence prefix and its splits
-(``_Inner``).  ``compose`` builds one record per term and call; a lone
-pair of surjections gets its two records built on the spot.  A split's
-sign depends on the outer term only through r and its mask, bit p the
-parity of outer suffix p, and on the inner term only through the parity
-bits of its r stretches: the sign is the parity of ``bits & mask``.  So
+(``_Inner``), each relabelled by one ``str.translate`` with the tables
+of ``_lifts``.  ``_compose_into`` builds one record per term and call,
+and adds its composites, scaled, into a dict the caller owns, so that a
+sum of compositions fills one dict; ``compose`` calls it with a fresh
+one.  A lone pair of surjections gets its two records built on the spot.
+A split's sign depends on the outer term only through r and its mask,
+bit p the parity of outer suffix p, and on the inner term only through
+the parity bits of its r stretches: the sign is the parity of
+``bits & mask``.  So
 an inner term lists its splits into r stretches, with their bits, once
 per r, and each composite is signed from ``bits & mask`` where it is
 written.  All of it is dropped when the call returns.
@@ -42,10 +46,11 @@ the same stream for a single term.
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations_with_replacement
 from typing import Iterator, Union
 
-from .elements import Element, Key, _accumulate, _key, _seq, as_element
+from .elements import Element, Key, _above_key_limit, _accumulate, _key, _seq, as_element
 from .errors import _check_index
 from .reports import VerificationReport, equality_report, sides_report
 from .surjections import Surjection, recurrence_prefix
@@ -79,39 +84,59 @@ def _stretches(shifted: Key, uprefix: list[int], r: int) -> Iterator[tuple[tuple
         yield tuple(stretches), bits
 
 
+def _lifts(t: int, n_outer: int, n_inner: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The ``str.translate`` tables of v o_t u that raise v's values above
+    t past the n_inner - 1 new lobes and u's values onto lobes t and up.  The
+    composite's top value is refused first, as ``_key`` refuses it, since
+    ``str.translate`` would fail on it without saying why."""
+    top = n_outer + n_inner - 1
+    if top > sys.maxunicode:
+        raise _above_key_limit(top)
+    outer = dict(zip(range(t + 1, n_outer + 1), range(t + n_inner, top + 1)))
+    inner = dict(zip(range(1, n_inner + 1), range(t, t + n_inner)))
+    return outer, inner
+
+
 class _Outer:
     """The outer term vkey of v o_t u, cut at the occurrences of t into r + 1
-    blocks, with the values above t raised past the arity(u) - 1 new lobes:
-    the first block ``head`` and the later ones ``tails``.  Bit p of
-    ``mask`` is the parity of the summed degrees of the outer blocks
-    p, ..., r-1.  Those blocks tile the suffix of v from the p-th
+    blocks, with the values above t raised by the table ``lift`` (see
+    ``_lifts``): the first block ``head`` and the later ones ``tails``.
+    Bit p of ``mask`` is the parity of the summed degrees of the outer
+    blocks p, ..., r-1.  Those blocks tile the suffix of v from the p-th
     occurrence of t, and a suffix's degree is its length minus its number
     of distinct values.  ``seq`` is the values of vkey, in which
-    perfbench's tracer counts t."""
+    perfbench's tracer counts t; it is decoded only when read."""
 
-    __slots__ = ("seq", "head", "tails", "mask")
+    __slots__ = ("key", "head", "tails", "mask")
 
-    def __init__(self, vkey: Key, t: int, n_inner: int):
-        self.seq = _seq(vkey)
+    def __init__(self, vkey: Key, t: int, lift: dict[int, int]):
+        self.key = vkey
         size, lobe = len(vkey), chr(t)
-        lifted = _key([s if s <= t else s + n_inner - 1 for s in self.seq])
-        self.head, *self.tails = lifted.split(lobe)
-        occurrences = [p for p, w in enumerate(vkey) if w == lobe]
-        self.mask = sum(
-            ((size - p - len(set(vkey[p:]))) & 1) << q for q, p in enumerate(occurrences)
-        )
+        self.head, *self.tails = vkey.translate(lift).split(lobe)
+        mask = q = 0
+        p = vkey.find(lobe)
+        while p >= 0:
+            mask |= ((size - p - len(set(vkey[p:]))) & 1) << q
+            q += 1
+            p = vkey.find(lobe, p + 1)
+        self.mask = mask
+
+    @property
+    def seq(self) -> tuple[int, ...]:
+        return _seq(self.key)
 
 
 class _Inner:
     """The inner term ukey of v o_t u with its values raised onto lobes
-    t.., its recurrence prefix, and per r its ``(stretches, bits)`` splits
-    into r stretches (see ``_stretches``), listed on first use."""
+    t.. by the table ``lift`` (see ``_lifts``), its recurrence prefix, and
+    per r its ``(stretches, bits)`` splits into r stretches (see
+    ``_stretches``), listed on first use."""
 
     __slots__ = ("seq", "shifted", "prefix", "splits")
 
-    def __init__(self, ukey: Key, t: int):
+    def __init__(self, ukey: Key, lift: dict[int, int]):
         self.seq = ukey
-        self.shifted = _key([s + t - 1 for s in _seq(ukey)])
+        self.shifted = ukey.translate(lift)
         self.prefix = recurrence_prefix(ukey)
         self.splits = {}
 
@@ -130,15 +155,17 @@ def composition_splits(
     sequence, inner and outer values differ, and two inner stretches are
     separated by the nonempty stretch of v between two occurrences of t.
 
-    The factors come as records built by ``compose``, or as two
-    surjections, whose records are built here after the lobe is checked.
+    The factors come as records built by ``_compose_into``, or as two
+    surjections, whose records are built here after the lobe and the
+    composite's top value are checked.
     Either way the stretches and their parity bits come from ``u.splits``,
     each composite is the concatenation of v's blocks and those stretches,
     and its sign is the parity of ``bits & v.mask``.
     """
     if isinstance(v, Surjection):
         _check_index(t, v.arity, "lobe ")
-        v, u = _Outer(_key(v.seq), t, u.arity), _Inner(_key(u.seq), t)
+        outer_lift, inner_lift = _lifts(t, v.arity, u.arity)
+        v, u = _Outer(_key(v.seq), t, outer_lift), _Inner(_key(u.seq), inner_lift)
     head, tails, mask = v.head, v.tails, v.mask
     r = len(tails)
     splits = u.splits.get(r)
@@ -158,21 +185,27 @@ def compose_basis(v: Surjection, t: int, u: Surjection) -> Element:
     return Element._trusted(data)
 
 
-def compose(a: Union[Element, Surjection], t: int, b: Union[Element, Surjection]) -> Element:
-    """Bilinear extension of basis composition.  Inputs must be homogeneous."""
-    ea, eb = as_element(a), as_element(b)
+def _compose_into(data: dict[Key, int], ea: Element, t: int, eb: Element, scale: int = 1) -> None:
+    """Add scale * (ea o_t eb) into data in place.  Both elements must be
+    homogeneous; one record is built per term, and dropped on return."""
     bideg_a = ea.bidegree()
     bideg_b = eb.bidegree()
     # A zero element has no arity: every lobe from 1 up fits it.
     _check_index(t, None if bideg_a is None else bideg_a[0], "lobe ")
     if bideg_a is None or bideg_b is None:
-        return Element.zero()
-    inner = [(_Inner(key, t), c) for key, c in eb._terms.items()]
-    data: dict[Key, int] = {}
+        return
+    outer_lift, inner_lift = _lifts(t, bideg_a[0], bideg_b[0])
+    inner = [(_Inner(key, inner_lift), c) for key, c in eb._terms.items()]
     for key, c1 in ea._terms.items():
-        outer = _Outer(key, t, bideg_b[0])
+        outer = _Outer(key, t, outer_lift)
         for u, c2 in inner:
-            _accumulate(data, composition_splits(outer, t, u), c1 * c2)
+            _accumulate(data, composition_splits(outer, t, u), scale * c1 * c2)
+
+
+def compose(a: Union[Element, Surjection], t: int, b: Union[Element, Surjection]) -> Element:
+    """Bilinear extension of basis composition.  Inputs must be homogeneous."""
+    data: dict[Key, int] = {}
+    _compose_into(data, as_element(a), t, as_element(b))
     return Element._trusted(data)
 
 

@@ -28,9 +28,15 @@ from cactusops import (
 )
 
 import cactusops.ainfty as ainfty_module
-from cactusops.ainfty import _MAX_IMAGE_TERMS, _blocks, _check_image_size, _psi_blocks
+from cactusops.ainfty import (
+    _MAX_IMAGE_TERMS,
+    _blocks,
+    _check_image_size,
+    _psi_blocks,
+    _splice_sign,
+)
 from conftest import ELIGIBLE_POOL, as_key, as_seq, eligible_cacti, elements, word_image_sum
-from oracles import naive_insertion
+from oracles import naive_compose, naive_insertion
 
 
 def S(*values):
@@ -206,6 +212,7 @@ class TestStructureImage:
 
         monkeypatch.setattr(ainfty_module, "a_infinity_image", no_work)
         monkeypatch.setattr(ainfty_module, "compose", no_work)
+        monkeypatch.setattr(ainfty_module, "_compose_into", no_work)
         with pytest.raises(ResourceBoundError, match=r"arity 10: the differential .* 68918850"):
             a_infinity_boundary_image(10)
 
@@ -326,6 +333,22 @@ class TestSplices:
             assert count == sum(p for p in range(2, n))
 
 
+def terms_of(a):
+    return {u.seq: c for u, c in a.terms()}
+
+
+def naive_splice_sum(splices):
+    """The sum of sign * (outer o_slot inner) over ``(sign, outer, slot,
+    inner)``, each composition taken term by term by ``naive_compose``."""
+    total = {}
+    for sign, outer, slot, inner in splices:
+        for v, c1 in outer.terms():
+            for u, c2 in inner.terms():
+                for seq, c in naive_compose(v.seq, slot, u.seq).items():
+                    total[seq] = total.get(seq, 0) + sign * c1 * c2 * c
+    return {seq: c for seq, c in total.items() if c}
+
+
 class TestBoundaryImages:
     def test_arity_two_is_zero(self):
         assert word_boundary_image("w") == Element.zero()
@@ -352,6 +375,29 @@ class TestBoundaryImages:
     def test_morphism_structure_map(self):
         for n in range(3, 6):
             assert boundary(a_infinity_image(n)) == a_infinity_boundary_image(n)
+
+    def test_splice_sums_match_the_definition_oracle(self):
+        # Every composite of a splice sum goes into one dict; the sum must be
+        # that of the definition, composed term by term by the oracle.
+        for n in range(3, 7):
+            splices = [
+                (_splice_sign(p, q, i), a_infinity_image(p), i, a_infinity_image(q))
+                for p, q in ((p, n + 1 - p) for p in range(2, n))
+                for i in range(1, p + 1)
+            ]
+            assert terms_of(a_infinity_boundary_image(n)) == naive_splice_sum(splices), n
+        for n in range(2, 6):
+            for word in all_words(n):
+                splices = [
+                    (
+                        _splice_sign(len(outer) + 1, len(inner) + 1, slot),
+                        word_image(outer),
+                        slot,
+                        word_image(inner),
+                    )
+                    for outer, inner, slot in splice_decompositions(word)
+                ]
+                assert terms_of(word_boundary_image(word)) == naive_splice_sum(splices), word
 
     def test_word_boundary_images_sum_to_the_structure_boundary(self):
         # The splice decompositions of the arity-n words are those of the

@@ -26,6 +26,7 @@ from cactusops import (
 )
 
 import cactusops.cacti as cacti_module
+from cactusops.ainfty import _check_image_size
 from conftest import cacti, surjections
 from oracles import (
     brute_force_sequences,
@@ -282,3 +283,35 @@ def test_count_must_be_an_int_from_the_least(name):
     with pytest.raises(ValueError, match=re.escape(below)):
         call(least - 1)
     call(least)
+
+
+# An int of more than 4,300 digits has no text in Python; the guards quote
+# it by its digit count.
+HUGE = 10**4400
+HUGE_TEXT = "<integer of 4401 digits>"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _check_image_size(HUGE), f"arity {HUGE_TEXT}: the structure map has over"),
+        (lambda: prime_cacti(HUGE), f"length {HUGE_TEXT} exceeds cap"),
+        (lambda: enumerate_basis(HUGE, 0), f"length {HUGE_TEXT} exceeds cap"),
+    ],
+    ids=["_check_image_size", "prime_cacti", "enumerate_basis"],
+)
+def test_huge_arity_is_refused_by_its_digit_count(call, message):
+    with pytest.raises(ResourceBoundError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, check",
+    [
+        (lambda: prime_cacti_count(HUGE, 10**100), lambda count: 10**100 < count < 10**103),
+        (lambda: enumerate_basis(2, 0, HUGE), lambda basis: basis == [S(1, 2), S(2, 1)]),
+    ],
+    ids=["prime_cacti_count", "enumerate_basis-level"],
+)
+def test_huge_count_within_its_bound_is_accepted(call, check):
+    assert check(call())

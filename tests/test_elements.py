@@ -14,6 +14,7 @@ from cactusops import (
     Surjection,
     boundary_basis,
     check_top_insertion_identities,
+    compose,
     compose_basis,
     parse_element,
     white_op,
@@ -146,6 +147,8 @@ class TestSequenceStorage:
             lambda: compose_basis(Surjection((1,)), 1, big),
             lambda: compose_basis(Surjection((1, 2)), 1, top),  # outer value 2 raised
             lambda: compose_basis(Surjection((1, 2)), 2, top),  # inner values raised
+            lambda: compose(Element.single(Surjection((1, 2))), 1, Element.single(top)),
+            lambda: compose(Element.single(Surjection((1, 2))), 2, Element.single(top)),
             lambda: boundary_basis(big),
             lambda: white_op(top),
             lambda: check_top_insertion_identities(big),

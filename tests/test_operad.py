@@ -21,6 +21,7 @@ from cactusops import (
     enumerate_basis,
     insert_top_lobe,
 )
+from cactusops.operad import _compose_into
 
 from conftest import as_seq, cacti, elements, surjections
 from oracles import brute_force_sequences, naive_boundary, naive_compose, naive_relative_degree
@@ -128,6 +129,21 @@ class TestComposeElements:
                         want[seq] = want.get(seq, 0) + c1 * c2 * sign
             want = {seq: c for seq, c in want.items() if c}
             assert {w.seq: c for w, c in compose(a, t, b).terms()} == want, t
+
+    def test_coefficients_and_scale_multiply_every_composite(self):
+        # A non-unit coefficient, a negative scale, and a dict that already
+        # holds terms, into which _compose_into adds in place.
+        a, b = 3 * E(1, 2, 1) - E(2, 1, 2), E(1, 2) - 2 * E(2, 1)
+        for t in (1, 2):
+            once = compose(a, t, b)
+            assert once
+            assert compose(3 * a, t, b) == 3 * once
+            assert compose(a, t, -b) == -1 * once
+            data = {}
+            _compose_into(data, 3 * a, t, b, -2)
+            assert Element._trusted(dict(data)) == -6 * once
+            _compose_into(data, a, t, b, 6)
+            assert data == {}, t
 
     def test_zero_factor_gives_zero(self):
         assert compose(Element.zero(), 1, E(1, 2)) == Element.zero()
