@@ -388,18 +388,19 @@ def check_top_insertion_identities(u: Surjection) -> VerificationReport:
     s121 = Surjection((1, 2, 1))
     s21 = Surjection((2, 1))
     s12 = Surjection((1, 2))
+    white, black, du = white_op(u), black_op(u), boundary(u)
 
     sides = {
         "insertion-vs-121": (
-            white_op(u) - black_op(u),
+            white - black,
             sign * compose(s121, 1, u) - compose(u, n, s121),
         ),
         "white-boundary": (
-            boundary(white_op(u)) - white_op(boundary(u)),
+            boundary(white) - white_op(du),
             sign * (compose(s21, 1, u) - compose(u, n, s21)),
         ),
         "black-boundary": (
-            boundary(black_op(u)) - black_op(boundary(u)),
+            boundary(black) - black_op(du),
             sign * (compose(s12, 1, u) - compose(u, n, s12)),
         ),
     }
@@ -448,16 +449,17 @@ def check_word_boundary_compat(word: str) -> VerificationReport:
     n = len(letters) + 1
     sign = -1 if n % 2 else 1
     img = word_image(letters)
+    d_img, splice_img = boundary(img), word_boundary_image(letters)
     sides = {}
     for color, op in ((WHITE, white_op), (BLACK, black_op)):
         base = word_image(color)
         correction = sign * (compose(base, 1, img) - compose(img, n, base))
         sides[f"differential-{color}"] = (
-            boundary(word_image(letters + color)) - op(boundary(img)),
+            boundary(word_image(letters + color)) - op(d_img),
             correction,
         )
         sides[f"splice-{color}"] = (
-            word_boundary_image(letters + color) - op(word_boundary_image(letters)),
+            word_boundary_image(letters + color) - op(splice_img),
             correction,
         )
     return sides_report(f"word-boundary[{letters}]", sides)

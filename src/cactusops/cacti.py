@@ -49,14 +49,19 @@ DEFAULT_LENGTH_CAP = 14
 def length_cap() -> int:
     """Sequence-length cap for enumerations, from CACTUS_MAX_LEN.
 
-    The variable must be a plain ASCII decimal ([0-9]+) of at least 1.
+    The variable must be a plain ASCII decimal ([0-9]+) of at least 1, of
+    no more digits than ``int`` converts (4,300 by default).
     """
     raw = os.environ.get("CACTUS_MAX_LEN")
     if raw is None:
         return DEFAULT_LENGTH_CAP
-    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
-        raise ResourceBoundError(f"CACTUS_MAX_LEN={raw!r} is not a positive integer")
-    return int(raw)
+    try:
+        cap = int(raw) if raw.isascii() and raw.isdigit() else 0
+    except ValueError:  # more digits than int() converts
+        raise ResourceBoundError(f"CACTUS_MAX_LEN={_quote(raw)} has too many digits") from None
+    if cap < 1:
+        raise ResourceBoundError(f"CACTUS_MAX_LEN={_quote(raw)} is not a positive integer")
+    return cap
 
 
 def cactus_violation(u: Surjection) -> Optional[tuple[tuple[int, int, int, int], tuple[int, int]]]:
@@ -228,16 +233,9 @@ def avoids_prime_patterns(u: Surjection) -> bool:
     """No scattered (i,j,i) with j < i or j = i + 1: every lobe sitting
     above lobe i carries a label at least i + 2."""
     seq = u.seq
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for p, v in enumerate(seq):
-        first.setdefault(v, p)
-        last[v] = p
-    for v in range(1, u.arity + 1):
-        for p in range(first[v] + 1, last[v]):
-            w = seq[p]
-            if w != v and (w < v or w == v + 1):
-                return False
+    for v, last in {v: p for p, v in enumerate(seq)}.items():
+        if not {v + 1, *range(1, v)}.isdisjoint(seq[seq.index(v) + 1 : last]):
+            return False
     return True
 
 

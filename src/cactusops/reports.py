@@ -38,12 +38,11 @@ def difference_witness(lhs, rhs) -> dict:
     return {"lhs": str(lhs), "rhs": str(rhs), "difference": str(lhs - rhs)}
 
 
-def equality_report(check: str, lhs, rhs, notes: tuple[str, ...] = ()) -> VerificationReport:
+def equality_report(check: str, lhs, rhs) -> VerificationReport:
     """Compare two elements and package the difference as witness."""
     if lhs == rhs:
-        return VerificationReport(check=check, passed=True, notes=notes)
-    witness = difference_witness(lhs, rhs)
-    return VerificationReport(check=check, passed=False, witness=witness, notes=notes)
+        return VerificationReport(check=check, passed=True)
+    return VerificationReport(check=check, passed=False, witness=difference_witness(lhs, rhs))
 
 
 def sides_report(check: str, sides: dict, notes: tuple[str, ...] = ()) -> VerificationReport:

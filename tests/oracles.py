@@ -64,6 +64,18 @@ def naive_has_ijij(seq):
     return False
 
 
+def naive_has_prime_pattern(seq):
+    """Literal cubic scan for a scattered (i,j,i) with j < i or j = i + 1."""
+    size = len(seq)
+    for p1 in range(size):
+        for p2 in range(p1 + 1, size):
+            for p3 in range(p2 + 1, size):
+                i, j = seq[p1], seq[p2]
+                if seq[p3] == i and j != i and (j < i or j == i + 1):
+                    return True
+    return False
+
+
 def permutation_parity(perm):
     """Parity sign of a permutation given as a list of distinct integers."""
     sign = 1

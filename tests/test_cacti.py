@@ -32,6 +32,7 @@ from oracles import (
     brute_force_sequences,
     flatten_lobe_tree,
     naive_has_ijij,
+    naive_has_prime_pattern,
     naive_max_alternation,
 )
 
@@ -191,11 +192,14 @@ class TestEnumerateBasis:
             enumerate_basis(3, 2, 2)
         assert len(enumerate_basis(3, 1, 2)) == 18
 
-    @pytest.mark.parametrize("raw", ["１４", " 14 ", "1_4", "+14", "0", "-3", ""])
+    @pytest.mark.parametrize(
+        "raw", ["１４", " 14 ", "1_4", "+14", "0", "-3", "", "9" * 4400, "x" * 4400]
+    )
     def test_length_cap_accepts_only_ascii_digits(self, monkeypatch, raw):
         monkeypatch.setenv("CACTUS_MAX_LEN", raw)
-        with pytest.raises(ResourceBoundError):
+        with pytest.raises(ResourceBoundError) as info:
             length_cap()
+        assert len(str(info.value)) <= 100
 
 
 class TestClosure:
@@ -249,6 +253,15 @@ class TestPrimeCacti:
         assert avoids_prime_patterns(S(1, 3, 1, 2))
         assert not avoids_prime_patterns(S(1, 2, 1, 3))  # 2 = 1 + 1 above 1
         assert not avoids_prime_patterns(S(3, 1, 3, 2))  # 1 < 3 above 3
+
+    @given(surjections)
+    def test_pattern_predicate_matches_the_cubic_scan(self, u):
+        assert avoids_prime_patterns(u) == (not naive_has_prime_pattern(u.seq))
+
+    def test_pattern_predicate_matches_the_cubic_scan_on_top_degree_cacti(self):
+        for n in range(2, 6):
+            for u in enumerate_basis(n, n - 2, 2):
+                assert avoids_prime_patterns(u) == (not naive_has_prime_pattern(u.seq))
 
     def test_arity_bound(self):
         with pytest.raises(ValueError):

@@ -310,6 +310,14 @@ class TestCactiListing:
         assert err.startswith("error: ")
 
 
+    def test_length_cap_of_too_many_digits_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("CACTUS_MAX_LEN", "9" * 4400)
+        code, out, err = run(capsys, "cacti", "list", "3")
+        assert (code, out) == (2, "")
+        message = err.rstrip("\n")
+        assert message.startswith("error: CACTUS_MAX_LEN=") and len(message) <= 100
+
+
 class TestRender:
     def test_stdout_dot(self, capsys):
         code, out, _ = run(capsys, "render", "(1,2,1)", "--format", "dot")
