@@ -111,9 +111,6 @@ class LobeTree:
     def arcs(self) -> int:
         return len(self.slots)
 
-    def children(self) -> list["LobeTree"]:
-        return [child for slot in self.slots for child in slot]
-
 
 def lobe_tree(u: Surjection) -> LobeTree:
     """The planar lobe tree whose boundary traversal spells u.

@@ -14,14 +14,13 @@ out blocks of one length, values up to 10 and coefficients +-1 in a few
 C-level steps and passes any other block to ``_term_str``; so a stream of
 sorted terms (``cactusops psi``) prints exactly like the element.
 
-Every sum in the package goes through one in-place update, ``_accumulate``.
-``Element.sum`` streams ``(coeff, Element)`` parts through it; the operad
-kernels of Berger-Fresse (arXiv:math/0109158), composition and the
-differential, feed it ``(key, sign)`` pairs straight from keys and wrap
-the finished dict with ``Element._trusted``, which skips validation.  The
-white/black insertions of ``ainfty`` never produce two equal terms, so
-their kernel writes its dict by plain assignment and wraps it the same
-way.
+Every sum in the package goes through one in-place update, ``_accumulate``:
+the constructor and ``+`` add terms through it, and the operad kernels of
+Berger-Fresse (arXiv:math/0109158), composition and the differential, feed
+it ``(key, sign)`` pairs straight from keys and wrap the finished dict with
+``Element._trusted``, which skips validation.  The white/black insertions
+of ``ainfty`` never produce two equal terms, so their kernel writes its
+dict by plain assignment and wraps it the same way.
 """
 
 from __future__ import annotations
@@ -174,18 +173,6 @@ class Element:
     def single(cls, u: Surjection, coeff: int = 1) -> "Element":
         return cls(((u, coeff),))
 
-    @classmethod
-    def sum(cls, parts: Iterable[tuple[int, "Element"]]) -> "Element":
-        """The linear combination sum of coeff * element over ``parts``.
-
-        Parts are added into one dict as they arrive, so a generator of
-        parts is summed without holding more than one part at a time.
-        """
-        data: dict[Key, int] = {}
-        for coeff, part in parts:
-            _accumulate(data, part._terms.items(), _coeff(coeff))
-        return cls._trusted(data)
-
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
 
@@ -255,7 +242,10 @@ class Element:
     # No command calls this; it is kept because perfbench/tracer.py wraps it by name.
     def apply_linear(self, f: Callable[[Surjection], "Element"]) -> "Element":
         """Extend the basis-level map f linearly: sum of coeff * f(term)."""
-        return Element.sum((c, f(_basis(key))) for key, c in self._terms.items())
+        data: dict[Key, int] = {}
+        for key, c in self._terms.items():
+            _accumulate(data, f(_basis(key))._terms.items(), c)
+        return Element._trusted(data)
 
     def __str__(self) -> str:
         return _block_str(sorted(self._terms.items())) or "0"

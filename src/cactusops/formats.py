@@ -222,39 +222,28 @@ def element_from_json(doc: Union[dict, str]) -> Element:
     return Element(terms)
 
 
-def render_lobe_tree(tree: Union[LobeTree, Surjection], fmt: str) -> str:
-    """Render a lobe tree (or the cactus sequence that defines one) as
-    "dot", "svg" or "text"."""
+def render_lobe_tree(u: Surjection, fmt: str) -> str:
+    """Render the lobe tree of the cactus u as "dot", "svg" or "text"."""
     render = _RENDERERS.get(fmt)
     if render is None:
         raise ValueError(f"unknown render format {fmt!r}")
-    if isinstance(tree, Surjection):
-        tree = lobe_tree(tree)
-    return render(tree)
+    return render(lobe_tree(u))
 
 
 def _to_dot(tree: LobeTree) -> str:
-    lines = ["digraph cactus {", "  node [shape=circle];"]
-    labels: list[int] = []
+    labels = [tree.label]
+    edges: list[str] = []
 
-    def collect(node: LobeTree) -> None:
-        labels.append(node.label)
-        for child in node.children():
-            collect(child)
-
-    collect(tree)
-    for label in sorted(labels):
-        lines.append(f"  {label};")
-
-    def edges(node: LobeTree) -> None:
+    def walk(node: LobeTree) -> None:
         for slot, children in enumerate(node.slots, start=1):
             for child in children:
-                lines.append(f"  {node.label} -> {child.label} [label=\"{slot}\"];")
-                edges(child)
+                labels.append(child.label)
+                edges.append(f"  {node.label} -> {child.label} [label=\"{slot}\"];")
+                walk(child)
 
-    edges(tree)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    walk(tree)
+    nodes = [f"  {label};" for label in sorted(labels)]
+    return "\n".join(["digraph cactus {", "  node [shape=circle];", *nodes, *edges, "}"]) + "\n"
 
 
 def _to_text(tree: LobeTree) -> str:

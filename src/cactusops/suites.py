@@ -9,6 +9,7 @@ first failing case as witness, ``{"case": <case check>, "witness": ...}``.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .cacti import (
     prime_cacti_filtered,
 )
 from .elements import Element
+from .errors import _check_count
 from .formats import element_from_json
 from .operad import boundary, boundary_basis, check_derivation, check_operad_axioms, compose
 from .reports import VerificationReport, equality_report
@@ -51,10 +53,8 @@ class SuiteConfig:
     fail_fast: bool = False
 
     def __post_init__(self):
-        if self.max_arity < 2:
-            raise ValueError("max_arity must be at least 2")
-        if self.samples < 0:
-            raise ValueError("samples must be non-negative")
+        _check_count(self.max_arity, 2, "max_arity ", "max_arity must be at least 2")
+        _check_count(self.samples, 0, "samples ", "samples must be non-negative")
 
 
 def default_max_arity(suite: str) -> int:
@@ -80,12 +80,16 @@ def _random_surjection(rng: random.Random, n: int, length: int) -> Surjection:
     raise RuntimeError(f"could not sample a surjection with n={n}, length={length}")
 
 
-def _cactus_pool(max_arity: int) -> list[Surjection]:
-    pool = []
-    for n in range(2, max_arity + 1):
-        for k in range(0, n):
-            pool.extend(enumerate_basis(n, k, level=2))
-    return pool
+@functools.cache
+def _cactus_pool(max_arity: int) -> tuple[Surjection, ...]:
+    """The stage-2 cacti of arity 2..min(max_arity, 4), every degree, that
+    the random law suites draw from; built once per arity bound."""
+    return tuple(
+        u
+        for n in range(2, min(max_arity, 4) + 1)
+        for k in range(n)
+        for u in enumerate_basis(n, k, level=2)
+    )
 
 
 def _report(check: str, cases: list[VerificationReport], detail: str) -> VerificationReport:
@@ -123,7 +127,7 @@ def run_dsq(cfg: SuiteConfig) -> list[VerificationReport]:
 
 def run_axioms(cfg: SuiteConfig) -> list[VerificationReport]:
     rng = _rng(cfg, "axioms")
-    pool = _cactus_pool(min(cfg.max_arity, 4))
+    pool = _cactus_pool(cfg.max_arity)
     cases = []
     for _ in range(cfg.samples):
         a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
@@ -138,7 +142,7 @@ def run_axioms(cfg: SuiteConfig) -> list[VerificationReport]:
 
 def run_derivation(cfg: SuiteConfig) -> list[VerificationReport]:
     rng = _rng(cfg, "derivation")
-    pool = _cactus_pool(min(cfg.max_arity, 4))
+    pool = _cactus_pool(cfg.max_arity)
     cases = []
     for _ in range(cfg.samples):
         a, b = rng.choice(pool), rng.choice(pool)
@@ -154,7 +158,7 @@ def _closure_case(check: str, image: Element) -> VerificationReport:
 
 def run_f2_closure(cfg: SuiteConfig) -> list[VerificationReport]:
     rng = _rng(cfg, "f2-closure")
-    pool = _cactus_pool(min(cfg.max_arity, 4))
+    pool = _cactus_pool(cfg.max_arity)
     composed, bounded = [], []
     for _ in range(cfg.samples):
         v, u = rng.choice(pool), rng.choice(pool)
@@ -177,7 +181,7 @@ def run_bncomp(cfg: SuiteConfig) -> list[VerificationReport]:
 
 def run_bncomp2(cfg: SuiteConfig) -> list[VerificationReport]:
     rng = _rng(cfg, "bncomp2")
-    pool = [u for u in _cactus_pool(min(cfg.max_arity, 4)) if u.seq.count(u.arity) == 1]
+    pool = [u for u in _cactus_pool(cfg.max_arity) if u.seq.count(u.arity) == 1]
     cases = []
     for _ in range(cfg.samples):
         u1, u2 = rng.choice(pool), rng.choice(pool)

@@ -179,7 +179,7 @@ class TestStructureImage:
     def test_recursion_equals_sum_of_word_images(self):
         for n in range(2, 9):
             words = all_words(n)
-            assert Element.sum((1, word_image(w)) for w in words) == a_infinity_image(n), n
+            assert sum(map(word_image, words), Element.zero()) == a_infinity_image(n), n
 
     def test_word_images_have_disjoint_supports(self):
         for n in range(2, 9):
@@ -404,7 +404,7 @@ class TestBoundaryImages:
         # structure map, word by word, so the word boundary images add up
         # to its boundary image: arity n can be checked one word at a time.
         for n in range(3, 8):
-            total = Element.sum((1, word_boundary_image(w)) for w in all_words(n))
+            total = sum(map(word_boundary_image, all_words(n)), Element.zero())
             assert total == a_infinity_boundary_image(n), n
 
 

@@ -75,9 +75,10 @@ class TestLobeTree:
         tree = lobe_tree(S(2, 1, 3, 1))
         assert tree.label == 2
         assert tree.arcs == 1
-        (child,) = tree.children()
+        ((child,),) = tree.slots
         assert child.label == 1
-        assert [c.label for c in child.children()] == [3]
+        assert [c.label for c in child.slots[0]] == [3]
+        assert child.slots[1] == ()
 
     def test_rejects_non_cactus(self):
         with pytest.raises(NotACactusError) as err:
@@ -97,8 +98,9 @@ class TestLobeTree:
 
 def _walk(tree):
     yield tree
-    for child in tree.children():
-        yield from _walk(child)
+    for slot in tree.slots:
+        for child in slot:
+            yield from _walk(child)
 
 
 class TestEnumerateBasis:

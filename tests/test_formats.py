@@ -18,7 +18,6 @@ from cactusops import (
     a_infinity_image,
     element_from_json,
     element_to_json,
-    lobe_tree,
     parse_element,
     parse_surjection,
     render_lobe_tree,
@@ -510,9 +509,30 @@ class TestDot:
         assert "1 -> 4" in out
         assert out.count("->") == 3
 
+    def test_full_text(self):
+        # Nodes in label order, then edges in pre-order with their arc.
+        assert render_lobe_tree(S(1, 2, 1, 3, 4, 3, 1, 5, 1), "dot") == (
+            "digraph cactus {\n"
+            "  node [shape=circle];\n"
+            "  1;\n  2;\n  3;\n  4;\n  5;\n"
+            '  1 -> 2 [label="1"];\n'
+            '  1 -> 3 [label="2"];\n'
+            '  3 -> 4 [label="1"];\n'
+            '  1 -> 5 [label="3"];\n'
+            "}\n"
+        )
+        assert render_lobe_tree(S(2, 1, 3, 1), "dot") == (
+            "digraph cactus {\n"
+            "  node [shape=circle];\n"
+            "  1;\n  2;\n  3;\n"
+            '  2 -> 1 [label="1"];\n'
+            '  1 -> 3 [label="1"];\n'
+            "}\n"
+        )
+
     def test_deterministic(self):
-        tree = lobe_tree(S(2, 1, 3, 1))
-        assert render_lobe_tree(tree, "dot") == render_lobe_tree(tree, "dot")
+        u = S(2, 1, 3, 1)
+        assert render_lobe_tree(u, "dot") == render_lobe_tree(u, "dot")
 
 
 class TestSvg:

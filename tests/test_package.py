@@ -1,6 +1,8 @@
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import cactusops
@@ -43,3 +45,31 @@ def test_every_exported_name_is_used_or_documented():
             if not used and not word.search(readme):
                 unused.append(f"{module_name}.{name}")
     assert unused == []
+
+
+def test_failing_property_is_reported_not_fatal(tmp_path):
+    # Under the project's warning filters a failing @given test is reported
+    # like any other failure, and the session goes on to the next test.
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+        "\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    config = ["-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path)]
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *config, "test_two.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr

@@ -57,6 +57,10 @@ def test_config_validation():
         SuiteConfig(max_arity=1)
     with pytest.raises(ValueError):
         SuiteConfig(samples=-1)
+    for field in ("max_arity", "samples"):
+        for value in (True, 2.5, "4"):
+            with pytest.raises(TypeError, match=f"{field} {value!r} is not an int"):
+                SuiteConfig(**{field: value})
 
 
 def test_golden_table_fixture_shape():
