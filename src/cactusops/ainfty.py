@@ -158,13 +158,14 @@ def _insertion_half(a: Union[Element, Surjection], color: str) -> Element:
     no two insertions of one color share a sequence.  A collision raises.
     """
     ea = as_element(a)
-    ea.bidegree()
+    arity, _ = ea.bidegree() or (0, 0)
+    new = _key((arity + 1,))
     out: dict[Key, int] = {}
     made = 0
     for key, c in ea._terms.items():
         top, flips = _insertion_row(key)
         lo, hi = (0, top) if color == WHITE else (top + 1, len(key))
-        row = _row_insertions((key, c, top, flips), lo, hi, _key((ord(key[top]) + 1,)))
+        row = _row_insertions((key, c, top, flips), lo, hi, new)
         made += len(row)
         out.update(row)
     if len(out) != made:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cache
 from itertools import permutations
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -236,28 +235,25 @@ def avoids_prime_patterns(u: Surjection) -> bool:
     return True
 
 
-@cache
-def _prime_cacti_cached(n: int) -> tuple[Surjection, ...]:
-    if n == 2:
-        return (Surjection((1, 2)), Surjection((2, 1)))
-    out = []
-    for u in _prime_cacti_cached(n - 1):
-        top = u.seq.index(u.arity) + 1  # unique occurrence of the top lobe
-        for j in range(1, len(u.seq) + 1):
-            if j != top:
-                out.append(insert_top_lobe(u, j))
-    return tuple(sorted(out, key=lambda s: s.seq))
-
-
 def prime_cacti(n: int) -> list[Surjection]:
     """Top-degree cacti avoiding the prime patterns, built recursively.
 
     Each arity-n element arises exactly once from an arity-(n-1) element
     by inserting the new top lobe at any position other than the current
-    top lobe; the list is sorted lexicographically.
+    top lobe; the list is sorted lexicographically.  Nothing is kept
+    between calls: each call builds every arity from 2 up to n afresh.
     """
     _check_prime_length(n)
-    return list(_prime_cacti_cached(n))
+    if n == 2:
+        return [Surjection((1, 2)), Surjection((2, 1))]
+    out = []
+    for u in prime_cacti(n - 1):
+        top = u.seq.index(u.arity) + 1  # unique occurrence of the top lobe
+        for j in range(1, len(u.seq) + 1):
+            if j != top:
+                out.append(insert_top_lobe(u, j))
+    out.sort(key=lambda s: s.seq)
+    return out
 
 
 def _check_prime_length(n: int) -> None:
@@ -269,9 +265,11 @@ def _check_prime_length(n: int) -> None:
 
 
 def prime_cacti_filtered(n: int) -> list[Surjection]:
-    """Independent route to the prime cacti: filter the full enumeration."""
+    """Independent route to the prime cacti: filter the top-degree stage-2
+    sequences as they are generated, and sort only the survivors."""
     _check_prime_length(n)
-    return [u for u in enumerate_basis(n, n - 2, 2) if avoids_prime_patterns(u)]
+    stage = (Surjection._unchecked(seq, n, n - 2) for seq in _sequences(n, 2 * n - 2, 2))
+    return sorted(u for u in stage if avoids_prime_patterns(u))
 
 
 def prime_cacti_count(n: int, cap: Optional[int] = None) -> int:

@@ -9,7 +9,6 @@ first failing case as witness, ``{"case": <case check>, "witness": ...}``.
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 from dataclasses import dataclass
@@ -80,10 +79,9 @@ def _random_surjection(rng: random.Random, n: int, length: int) -> Surjection:
     raise RuntimeError(f"could not sample a surjection with n={n}, length={length}")
 
 
-@functools.cache
 def _cactus_pool(max_arity: int) -> tuple[Surjection, ...]:
     """The stage-2 cacti of arity 2..min(max_arity, 4), every degree, that
-    the random law suites draw from; built once per arity bound."""
+    the random law suites draw from; built afresh by each suite."""
     return tuple(
         u
         for n in range(2, min(max_arity, 4) + 1)
@@ -226,36 +224,24 @@ def _unit_sum(terms: Iterable[Surjection]) -> Element:
 
 
 def run_cprime_count(cfg: SuiteConfig) -> list[VerificationReport]:
-    arities = range(2, cfg.max_arity + 1)
-    counts = [len(prime_cacti(n)) for n in arities]
-    cases = [
-        equality_report(f"count[arity={n}]", got, prime_cacti_count(n))
-        for n, got in zip(arities, counts)
-    ]
-    detail = "counts " + ",".join(str(c) for c in counts)
-    reports = [_report("cprime.count", cases, detail)]
-
     top = min(cfg.max_arity, 6)
-    cases = [
-        equality_report(
-            f"filter-oracle[arity={n}]",
-            _unit_sum(prime_cacti(n)),
-            _unit_sum(prime_cacti_filtered(n)),
-        )
-        for n in range(2, top + 1)
-    ]
-    reports.append(_report("cprime.filter-oracle", cases, f"arity 2..{top}"))
-
-    cases = []
-    for n in arities:
-        image = a_infinity_image(n)
+    counts, count_cases, filter_cases, support_cases = [], [], [], []
+    for n in range(2, cfg.max_arity + 1):
+        primes = prime_cacti(n)
+        counts.append(len(primes))
+        count_cases.append(equality_report(f"count[arity={n}]", len(primes), prime_cacti_count(n)))
+        support = _unit_sum(primes)
+        if n <= top:
+            oracle = _unit_sum(prime_cacti_filtered(n))
+            filter_cases.append(equality_report(f"filter-oracle[arity={n}]", support, oracle))
         # support equal to the prime cacti and every coefficient +-1
-        unsigned = Element((u, abs(c)) for u, c in image.terms())
-        cases.append(
-            equality_report(f"structure-support[arity={n}]", unsigned, _unit_sum(prime_cacti(n)))
-        )
-    reports.append(_report("cprime.structure-support", cases, f"arity 2..{cfg.max_arity}"))
-    return reports
+        unsigned = Element((u, abs(c)) for u, c in a_infinity_image(n).terms())
+        support_cases.append(equality_report(f"structure-support[arity={n}]", unsigned, support))
+    return [
+        _report("cprime.count", count_cases, "counts " + ",".join(map(str, counts))),
+        _report("cprime.filter-oracle", filter_cases, f"arity 2..{top}"),
+        _report("cprime.structure-support", support_cases, f"arity 2..{cfg.max_arity}"),
+    ]
 
 
 def load_golden_table() -> list[tuple[str, Element]]:

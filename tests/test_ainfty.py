@@ -121,11 +121,13 @@ class TestInsertionOps:
         assert_insertions_match_oracle(a)
 
     def test_colliding_insertion_raises(self, monkeypatch):
-        # An insertion that lands on a term already written is refused.  A
-        # row that takes the last entry for the top inserts a copy of it,
-        # 2, so (1,3,1,2) gives (1,3,1,3,1,2) at positions 0 and 2.
-        monkeypatch.setattr(ainfty_module, "_insertion_row", lambda seq: (len(seq) - 1, 0))
-        with pytest.raises(RuntimeError, match="3 insertions added 2 terms"):
+        # An insertion that lands on a term already written is refused.  The
+        # one white insertion into (1,3,1,2), written three times.
+        row_insertions = ainfty_module._row_insertions
+        monkeypatch.setattr(
+            ainfty_module, "_row_insertions", lambda *args: row_insertions(*args) * 3
+        )
+        with pytest.raises(RuntimeError, match="3 insertions added 1 terms"):
             white_op(E(1, 3, 1, 2))
 
     @given(eligible_cacti)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from math import comb, factorial
 
 import pytest
@@ -237,6 +238,18 @@ class TestPrimeCacti:
     def test_recursion_matches_filter_oracle(self):
         for n in range(2, 6):
             assert prime_cacti(n) == prime_cacti_filtered(n)
+
+    def test_filter_oracle_keeps_only_its_survivors(self):
+        # Of the 90,720 top-degree stage-2 cacti of arity 6, only the 210
+        # prime ones may be kept; the whole stage would take about 16 MB.
+        tracemalloc.start()
+        try:
+            filtered = prime_cacti_filtered(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert filtered == prime_cacti(6)
+        assert peak < 1_000_000
 
     def test_members_are_top_degree_cacti(self):
         for n in range(2, 6):

@@ -20,7 +20,6 @@ from cactusops import (
     white_op,
 )
 
-import cactusops.ainfty as ainfty_module
 from cactusops.elements import _block_str, _term_str
 from conftest import as_key, elements, surjections
 
@@ -130,13 +129,10 @@ class TestSequenceStorage:
         assert str(e) == (" ".join(_term_str(as_key(seq), c) for seq, c in terms) or "0")
         assert parse_element(str(e)) == e
 
-    def test_values_above_the_key_limit_are_refused(self, monkeypatch):
+    def test_values_above_the_key_limit_are_refused(self):
         # A key holds one code point per value, so values up to sys.maxunicode.
         big = Surjection(range(1, sys.maxunicode + 2))
         top = Surjection(big.seq[:-1])  # holds, but one more lobe does not
-        # The sign row of top takes seconds; the new top value is refused before
-        # any sign is read.
-        monkeypatch.setattr(ainfty_module, "_insertion_row", lambda key: (len(key) - 1, 0))
         message = rf"value {sys.maxunicode + 1} is above {sys.maxunicode}, the largest"
         for call in (
             lambda: Element([(big, 1)]),

@@ -47,6 +47,18 @@ def test_every_exported_name_is_used_or_documented():
     assert unused == []
 
 
+def test_only_the_structure_maps_are_memoized():
+    # A process-wide memo keeps what it built until the process ends: only
+    # the word images and psi_n, which later checks read again, may keep it.
+    memos = sorted(
+        f"{module_name}.{name}"
+        for module_name in _module_names()
+        for name, value in vars(importlib.import_module(module_name)).items()
+        if getattr(value, "__module__", None) == module_name and hasattr(value, "cache_info")
+    )
+    assert memos == ["cactusops.ainfty.a_infinity_image", "cactusops.ainfty.word_image"]
+
+
 def test_failing_property_is_reported_not_fatal(tmp_path):
     # Under the project's warning filters a failing @given test is reported
     # like any other failure, and the session goes on to the next test.
