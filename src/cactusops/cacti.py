@@ -16,6 +16,12 @@ the values are renamed by a permutation, every sequence is the relabelling
 of exactly one shape, and distinct permutations of a shape give distinct
 sequences; so the backtracking search runs over shapes only, and each
 shape is relabelled by all n! permutations.
+
+The prime cacti, the support of the A-infinity structure map, have two
+routes that share no pattern test: ``prime_cacti`` inserts a new top lobe
+into each prime cactus one arity down, and ``prime_cacti_filtered`` labels
+each top-degree shape only in the ways that avoid the prime patterns,
+instead of relabelling it by all n! permutations and filtering.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ __all__ = [
     "prime_cacti",
     "prime_cacti_filtered",
     "prime_cacti_count",
-    "avoids_prime_patterns",
 ]
 
 DEFAULT_LENGTH_CAP = 14
@@ -225,16 +230,6 @@ def enumerate_basis(n: int, k: int, level: Optional[int] = 2) -> list[Surjection
     return out
 
 
-def avoids_prime_patterns(u: Surjection) -> bool:
-    """No scattered (i,j,i) with j < i or j = i + 1: every lobe sitting
-    above lobe i carries a label at least i + 2."""
-    seq = u.seq
-    for v, last in {v: p for p, v in enumerate(seq)}.items():
-        if not {v + 1, *range(1, v)}.isdisjoint(seq[seq.index(v) + 1 : last]):
-            return False
-    return True
-
-
 def prime_cacti(n: int) -> list[Surjection]:
     """Top-degree cacti avoiding the prime patterns, built recursively.
 
@@ -265,11 +260,42 @@ def _check_prime_length(n: int) -> None:
 
 
 def prime_cacti_filtered(n: int) -> list[Surjection]:
-    """Independent route to the prime cacti: filter the top-degree stage-2
-    sequences as they are generated, and sort only the survivors."""
+    """Independent route to the prime cacti: label each top-degree stage-2
+    shape in every way that avoids the prime patterns, then sort.
+
+    The window of a shape value x is the set of values strictly between its
+    first and last occurrence, x left out.  A labelling avoids every
+    scattered (i,j,i) with j < i or j = i + 1 exactly when each y in x's
+    window gets a label of at least label(x) + 2.  The labels 1..n are
+    given out in increasing order, and label l goes to an unlabelled y only
+    when every x whose window holds y already has a label of at most l - 2;
+    so only the survivors are ever built.
+    """
     _check_prime_length(n)
-    stage = (Surjection._unchecked(seq, n, n - 2) for seq in _sequences(n, 2 * n - 2, 2))
-    return sorted(u for u in stage if avoids_prime_patterns(u))
+    out = []
+    label = [0] * (n + 1)
+
+    def assign(next_label: int, settled: int, previous: int) -> None:
+        # settled: bit x set when x has a label of at most next_label - 2;
+        # previous: the bit of the value labelled next_label - 1
+        if next_label > n:
+            out.append(tuple(label[v] for v in shape))
+            return
+        for y in range(1, n + 1):
+            if not label[y] and not below[y] & ~settled:
+                label[y] = next_label
+                assign(next_label + 1, settled | previous, 1 << y)
+                label[y] = 0
+
+    for shape in _shapes(n, 2 * n - 2, 2):
+        below = [0] * (n + 1)  # bit x of below[y] set when y is in x's window
+        last = {v: p for p, v in enumerate(shape)}
+        for x, end in last.items():
+            for y in set(shape[shape.index(x) + 1 : end]) - {x}:
+                below[y] |= 1 << x
+        assign(1, 0, 0)
+    out.sort()
+    return [Surjection._unchecked(seq, n, n - 2) for seq in out]
 
 
 def prime_cacti_count(n: int, cap: Optional[int] = None) -> int:

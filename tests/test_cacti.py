@@ -13,7 +13,6 @@ from cactusops import (
     a_infinity_boundary_image,
     a_infinity_image,
     all_words,
-    avoids_prime_patterns,
     boundary_basis,
     cactus_violation,
     compose,
@@ -236,7 +235,7 @@ class TestPrimeCacti:
         assert prime_cacti_count(10**12, cap=10**6) == prime_cacti_count(10) == 4_054_050
 
     def test_recursion_matches_filter_oracle(self):
-        for n in range(2, 6):
+        for n in range(2, 8):
             assert prime_cacti(n) == prime_cacti_filtered(n)
 
     def test_filter_oracle_keeps_only_its_survivors(self):
@@ -251,32 +250,35 @@ class TestPrimeCacti:
         assert filtered == prime_cacti(6)
         assert peak < 1_000_000
 
+    def test_filter_oracle_is_the_stage_without_prime_patterns(self):
+        for n in range(2, 6):
+            stage = cacti_module._sequences(n, 2 * n - 2, 2)
+            kept = sorted(seq for seq in stage if not naive_has_prime_pattern(seq))
+            assert [u.seq for u in prime_cacti_filtered(n)] == kept
+
+    def test_filter_oracle_matches_brute_force(self):
+        # Every sequence of length 2n-2 through the literal scans alone:
+        # stage 2 is alternation at most 3, and the length fixes the degree.
+        for n in range(2, 5):
+            kept = [
+                seq
+                for seq in brute_force_sequences(n, 2 * n - 2)
+                if naive_max_alternation(seq) <= 3 and not naive_has_prime_pattern(seq)
+            ]
+            assert [u.seq for u in prime_cacti_filtered(n)] == kept
+
     def test_members_are_top_degree_cacti(self):
         for n in range(2, 6):
             for u in prime_cacti(n):
                 assert u.degree == n - 2
                 assert is_cactus(u)
-                assert avoids_prime_patterns(u)
+                assert not naive_has_prime_pattern(u.seq)
                 assert u.seq.count(u.arity) == 1
 
     def test_endpoints_are_one_and_two(self):
         for n in range(3, 7):
             for u in prime_cacti(n):
                 assert {u.seq[0], u.seq[-1]} == {1, 2}
-
-    def test_pattern_predicate(self):
-        assert avoids_prime_patterns(S(1, 3, 1, 2))
-        assert not avoids_prime_patterns(S(1, 2, 1, 3))  # 2 = 1 + 1 above 1
-        assert not avoids_prime_patterns(S(3, 1, 3, 2))  # 1 < 3 above 3
-
-    @given(surjections)
-    def test_pattern_predicate_matches_the_cubic_scan(self, u):
-        assert avoids_prime_patterns(u) == (not naive_has_prime_pattern(u.seq))
-
-    def test_pattern_predicate_matches_the_cubic_scan_on_top_degree_cacti(self):
-        for n in range(2, 6):
-            for u in enumerate_basis(n, n - 2, 2):
-                assert avoids_prime_patterns(u) == (not naive_has_prime_pattern(u.seq))
 
     def test_arity_bound(self):
         with pytest.raises(ValueError):

@@ -466,7 +466,8 @@ class TestReportContract:
 
 class TestMutationSmoke:
     """verify all must go red under an injected sign error in the
-    composition, the differential or the insertions, and green without one."""
+    composition, the differential or the insertions, and green without one;
+    verify cprime-count must go red under a filter oracle that keeps too much."""
 
     ARGS = [
         "verify",
@@ -549,3 +550,26 @@ class TestMutationSmoke:
                 f.cache_clear()
         assert code == 1
         assert "FAIL" in out
+
+    def test_gap_one_filter_oracle_detected(self, capsys, monkeypatch):
+        # A filter oracle that lets label(x) + 1 into the window of x keeps
+        # the (i, i+1, i) patterns too, such as (1,2,1,3) at arity 3.
+        import cactusops.suites as suites_module
+        from cactusops.cacti import _sequences
+
+        code, out, _ = run(capsys, "verify", "cprime-count")
+        assert code == 0
+        assert "PASS cprime.filter-oracle" in out
+
+        def gap_one(seq):
+            last = {v: p for p, v in enumerate(seq)}
+            return all(min(seq[seq.index(x) : p + 1]) == x for x, p in last.items())
+
+        def mutant(n):
+            stage = _sequences(n, 2 * n - 2, 2)
+            return sorted(cactusops.Surjection(seq) for seq in stage if gap_one(seq))
+
+        monkeypatch.setattr(suites_module, "prime_cacti_filtered", mutant)
+        code, out, _ = run(capsys, "verify", "cprime-count")
+        assert code == 1
+        assert "FAIL cprime.filter-oracle" in out
