@@ -56,9 +56,10 @@ Every term, here and in the insertion kernel, is its key of ``elements``,
 one code point per value, so the stream's pairs are the dict's items.
 
 The support of the arity-n structure map is the set of prime cacti, so
-its size 2(2n-5)!! is known before any work, and so is a bound on its
-differential; structure maps, or differentials of them, above
-``_MAX_IMAGE_TERMS`` terms are refused up front with ``ResourceBoundError``.
+its size 2(2n-5)!!, ``prime_cacti_count``, is known before any work, and
+so is a bound on its differential; structure maps, or differentials of
+them, above ``_MAX_IMAGE_TERMS`` terms are refused up front with
+``ResourceBoundError``.
 """
 
 from __future__ import annotations
@@ -66,9 +67,8 @@ from __future__ import annotations
 from functools import cache
 from itertools import chain, islice, pairwise, product
 from operator import itemgetter, lt
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
-from .cacti import prime_cacti_count
 from .elements import Element, Key, _key, _seq, as_element
 from .errors import MaxValueNotUniqueError, ResourceBoundError, WordError
 from .errors import _check_count, _check_index, _quote
@@ -88,6 +88,7 @@ __all__ = [
     "check_top_insertion_identities",
     "check_insertion_composition",
     "check_word_boundary_compat",
+    "prime_cacti_count",
 ]
 
 WHITE = "w"
@@ -198,6 +199,19 @@ def word_image(word: str) -> Element:
         return Element.single(Surjection(_BASE[letters]))
     body = word_image(letters[:-1])
     return white_op(body) if letters[-1] == WHITE else black_op(body)
+
+
+def prime_cacti_count(n: int, cap: Optional[int] = None) -> int:
+    """Closed-form size 2*(2n-5)!! of the arity-n prime cacti.  With cap,
+    the product stops once it passes cap, so the work stays bounded at
+    any arity and a result above cap is only a lower bound."""
+    _check_count(n, 2, "arity ", f"arity {_quote(n)} has no prime cacti")
+    out = 2
+    for odd in range(3, 2 * n - 4, 2):
+        out *= odd
+        if cap is not None and out > cap:
+            break
+    return out
 
 
 def _check_image_size(n: int, differential: bool = False) -> None:

@@ -17,11 +17,10 @@ of exactly one shape, and distinct permutations of a shape give distinct
 sequences; so the backtracking search runs over shapes only, and each
 shape is relabelled by all n! permutations.
 
-The prime cacti, the support of the A-infinity structure map, have two
-routes that share no pattern test: ``prime_cacti`` inserts a new top lobe
-into each prime cactus one arity down, and ``prime_cacti_filtered`` labels
-each top-degree shape only in the ways that avoid the prime patterns,
-instead of relabelling it by all n! permutations and filtering.
+The prime cacti, the support of the A-infinity structure map psi, have
+two routes that share no code: ``prime_cacti`` reads the keys of psi_n
+from its sorted stream in ``ainfty``, and ``prime_cacti_filtered`` labels
+each top-degree shape only in the ways that avoid the prime patterns.
 """
 
 from __future__ import annotations
@@ -32,8 +31,10 @@ from itertools import permutations
 from operator import itemgetter
 from typing import Iterator, Optional
 
+from .ainfty import _check_image_size, _psi_blocks
+from .elements import _seq
 from .errors import NotACactusError, ResourceBoundError, _check_count, _quote
-from .surjections import Surjection, insert_top_lobe, recurrence_prefix
+from .surjections import Surjection, recurrence_prefix
 
 __all__ = [
     "length_cap",
@@ -44,7 +45,6 @@ __all__ = [
     "enumerate_basis",
     "prime_cacti",
     "prime_cacti_filtered",
-    "prime_cacti_count",
 ]
 
 DEFAULT_LENGTH_CAP = 14
@@ -231,32 +231,21 @@ def enumerate_basis(n: int, k: int, level: Optional[int] = 2) -> list[Surjection
 
 
 def prime_cacti(n: int) -> list[Surjection]:
-    """Top-degree cacti avoiding the prime patterns, built recursively.
-
-    Each arity-n element arises exactly once from an arity-(n-1) element
-    by inserting the new top lobe at any position other than the current
-    top lobe; the list is sorted lexicographically.  Nothing is kept
-    between calls: each call builds every arity from 2 up to n afresh.
-    """
+    """The support of psi_n, the top-degree cacti avoiding the prime
+    patterns: the keys of its sorted stream ``ainfty._psi_blocks(n)``, in
+    order.  ``prime_cacti_filtered`` builds them by labelling instead."""
     _check_prime_length(n)
-    if n == 2:
-        return [Surjection((1, 2)), Surjection((2, 1))]
-    out = []
-    for u in prime_cacti(n - 1):
-        top = u.seq.index(u.arity) + 1  # unique occurrence of the top lobe
-        for j in range(1, len(u.seq) + 1):
-            if j != top:
-                out.append(insert_top_lobe(u, j))
-    out.sort(key=lambda s: s.seq)
-    return out
+    blocks = _psi_blocks(n)
+    return [Surjection._unchecked(_seq(key), n, n - 2) for block in blocks for key, _ in block]
 
 
 def _check_prime_length(n: int) -> None:
     """Refuse an arity below 2, or one whose prime cacti, of length 2n-2,
-    exceed the length cap."""
+    exceed the length cap or, in number, the size bound of psi_n."""
     _check_count(n, 2, "arity ", f"arity {_quote(n)} has no prime cacti")
     if 2 * n - 2 > (cap := length_cap()):
         raise ResourceBoundError(f"length {_quote(2 * n - 2)} exceeds cap {cap}")
+    _check_image_size(n)
 
 
 def prime_cacti_filtered(n: int) -> list[Surjection]:
@@ -296,16 +285,3 @@ def prime_cacti_filtered(n: int) -> list[Surjection]:
         assign(1, 0, 0)
     out.sort()
     return [Surjection._unchecked(seq, n, n - 2) for seq in out]
-
-
-def prime_cacti_count(n: int, cap: Optional[int] = None) -> int:
-    """Closed-form size 2*(2n-5)!! of the arity-n prime cacti.  With cap,
-    the product stops once it passes cap, so the work stays bounded at
-    any arity and a result above cap is only a lower bound."""
-    _check_count(n, 2, "arity ", f"arity {_quote(n)} has no prime cacti")
-    out = 2
-    for odd in range(3, 2 * n - 4, 2):
-        out *= odd
-        if cap is not None and out > cap:
-            break
-    return out

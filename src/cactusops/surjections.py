@@ -15,7 +15,6 @@ from .errors import DegenerateError, NonPositiveError, NotSurjectiveError, _chec
 
 __all__ = [
     "Surjection",
-    "insert_top_lobe",
     "recurrence_prefix",
 ]
 
@@ -110,6 +109,7 @@ def recurrence_prefix(seq: tuple[int, ...]) -> list[int]:
     return prefix
 
 
+# No command calls this; it is kept because perfbench/tracer.py wraps it by name.
 def insert_top_lobe(u: Surjection, j: int) -> Surjection:
     """Replace the entry at position j by (u(j), n+1, u(j)).
 

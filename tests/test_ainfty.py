@@ -21,6 +21,7 @@ from cactusops import (
     check_top_insertion_identities,
     check_word_boundary_compat,
     prime_cacti,
+    prime_cacti_filtered,
     splice_decompositions,
     white_op,
     word_boundary_image,
@@ -155,7 +156,7 @@ class TestWordImage:
 
     def test_terms_live_in_prime_basis(self):
         for n in range(3, 7):
-            allowed = set(prime_cacti(n))
+            allowed = set(prime_cacti_filtered(n))
             for word in all_words(n):
                 for u, c in word_image(word).terms():
                     assert u in allowed
@@ -192,7 +193,7 @@ class TestStructureImage:
     def test_support_is_prime_basis(self):
         for n in range(2, 7):
             image = a_infinity_image(n)
-            assert image.support() == prime_cacti(n)
+            assert image.support() == prime_cacti_filtered(n)
             assert all(c in (1, -1) for _, c in image.terms())
 
     def test_size_bound_admits_arity_ten_and_refuses_eleven(self):

@@ -25,6 +25,7 @@ from cactusops import (
     prime_cacti_filtered,
 )
 
+import cactusops.ainfty as ainfty_module
 import cactusops.cacti as cacti_module
 from cactusops.ainfty import _check_image_size
 from conftest import cacti, surjections
@@ -234,9 +235,18 @@ class TestPrimeCacti:
         assert prime_cacti_count(12, cap=5_000_000) == prime_cacti_count(11) == 68_918_850
         assert prime_cacti_count(10**12, cap=10**6) == prime_cacti_count(10) == 4_054_050
 
-    def test_recursion_matches_filter_oracle(self):
+    def test_psi_support_matches_filter_oracle(self):
         for n in range(2, 8):
             assert prime_cacti(n) == prime_cacti_filtered(n)
+
+    def test_filter_oracle_is_refused_by_the_image_bound(self, monkeypatch):
+        # Both routes build the support of psi_n, so both obey its size
+        # bound, after the length cap.
+        monkeypatch.setattr(ainfty_module, "_MAX_IMAGE_TERMS", 100)
+        for build in (prime_cacti, prime_cacti_filtered):
+            with pytest.raises(ResourceBoundError, match=re.escape("210 terms")):
+                build(6)
+        assert len(prime_cacti_filtered(5)) == 30
 
     def test_filter_oracle_keeps_only_its_survivors(self):
         # Of the 90,720 top-degree stage-2 cacti of arity 6, only the 210

@@ -69,7 +69,7 @@ class TestComputationCommands:
         # The images of the arity-n words partition psi_n, so a word is
         # refused when psi_n would be, before any insertion.
         import cactusops.ainfty as ainfty_module
-        from cactusops.cacti import prime_cacti_count
+        from cactusops.ainfty import prime_cacti_count
 
         def no_work(*args):
             raise AssertionError("work started before the size bound was checked")
@@ -161,7 +161,7 @@ class TestComputationCommands:
         # is bounded by the deletions of psi_n, (2n-3) * 2(2n-5)!!, which
         # is the prime cacti count one arity up.
         import cactusops.suites as suites_module
-        from cactusops.cacti import prime_cacti_count
+        from cactusops.ainfty import prime_cacti_count
 
         def no_work(*args):
             raise AssertionError("work started before the size bound was checked")
@@ -573,3 +573,19 @@ class TestMutationSmoke:
         code, out, _ = run(capsys, "verify", "cprime-count")
         assert code == 1
         assert "FAIL cprime.filter-oracle" in out
+
+    def test_support_checked_against_the_filter_oracle_above_its_cap(self, capsys, monkeypatch):
+        # The filter-oracle row stops at arity 6; at arity 7 only the
+        # structure-support row compares psi with the labelling route.
+        import cactusops.suites as suites_module
+
+        labelled = suites_module.prime_cacti_filtered
+
+        def mutant(n):
+            return labelled(n)[:-1] if n == 7 else labelled(n)
+
+        monkeypatch.setattr(suites_module, "prime_cacti_filtered", mutant)
+        code, out, _ = run(capsys, "verify", "cprime-count")
+        assert code == 1
+        assert "FAIL cprime.structure-support" in out
+        assert "PASS cprime.filter-oracle" in out

@@ -19,9 +19,9 @@ from cactusops import (
     compose_basis,
     composition_splits,
     enumerate_basis,
-    insert_top_lobe,
 )
 from cactusops.operad import _compose_into
+from cactusops.surjections import insert_top_lobe
 
 from conftest import as_seq, cacti, elements, surjections
 from oracles import brute_force_sequences, naive_boundary, naive_compose, naive_relative_degree

@@ -7,9 +7,8 @@ from cactusops import (
     NonPositiveError,
     NotSurjectiveError,
     Surjection,
-    insert_top_lobe,
 )
-from cactusops.surjections import recurrence_prefix
+from cactusops.surjections import insert_top_lobe, recurrence_prefix
 
 from conftest import surjections
 from oracles import naive_relative_degree
