@@ -589,3 +589,36 @@ class TestMutationSmoke:
         assert code == 1
         assert "FAIL cprime.structure-support" in out
         assert "PASS cprime.filter-oracle" in out
+
+    def test_coefficient_two_fails_only_the_structure_support(self, capsys, monkeypatch):
+        # The three rows read one psi_n: the count and the filter oracle see
+        # its keys alone, so only structure-support checks that |c| = 1.
+        import cactusops.suites as suites_module
+        from cactusops.elements import Element
+
+        true_image = suites_module.a_infinity_image
+        terms = dict(true_image(5)._terms)
+        key = min(terms)
+        terms[key] *= 2
+        doubled = Element._trusted(terms)
+        monkeypatch.setattr(
+            suites_module, "a_infinity_image", lambda n: doubled if n == 5 else true_image(n)
+        )
+        code, out, _ = run(capsys, "verify", "cprime-count")
+        assert code == 1
+        assert "PASS cprime.count" in out
+        assert "PASS cprime.filter-oracle" in out
+        assert "FAIL cprime.structure-support" in out
+        assert "structure-support[arity=5]" in out
+
+    def test_cprime_count_reads_psi_alone(self, capsys, monkeypatch):
+        # Each arity reads psi_n once; no second walk through prime_cacti.
+        import cactusops.suites as suites_module
+
+        def no_walk(n):
+            raise AssertionError("cprime-count walked psi_n a second time")
+
+        monkeypatch.setattr(suites_module, "prime_cacti", no_walk)
+        code, out, _ = run(capsys, "verify", "cprime-count")
+        assert code == 0
+        assert "FAIL" not in out
