@@ -167,11 +167,16 @@ class Element:
 
     @classmethod
     def zero(cls) -> "Element":
-        return cls()
+        return cls._trusted({})
 
     @classmethod
     def single(cls, u: Surjection, coeff: int = 1) -> "Element":
-        return cls(((u, coeff),))
+        # The constructor's checks for one term, without its generic sum.
+        if not isinstance(u, Surjection):
+            raise TypeError(f"basis term {u!r} is not a Surjection")
+        _coeff(coeff)
+        key = _key(u.seq)
+        return cls._trusted({key: coeff} if coeff else {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")

@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
+from typing import Callable, Optional
 
 from .ainfty import (
     _check_image_size,
@@ -34,7 +34,7 @@ from .cacti import (
     prime_cacti,
     prime_cacti_filtered,
 )
-from .elements import Element
+from .elements import Element, Key, _accumulate, _key
 from .errors import _check_count
 from .formats import element_from_json
 from .operad import boundary, boundary_basis, check_derivation, check_operad_axioms, compose
@@ -106,15 +106,42 @@ def _dsq_case(u: Surjection) -> VerificationReport:
     return equality_report(f"dsq[{u}]", boundary(boundary_basis(u)), Element.zero())
 
 
+def _dsq_basis(n: int, top: int) -> tuple[int, Optional[Surjection]]:
+    """Check d(d(u)) = 0 on the full basis of arity n in degrees 0..top;
+    return the number of elements and the first that fails, if any.
+
+    Each basis differential d(u) is built once.  Every nonzero deletion w
+    of u is a basis element one degree down, so d(d(u)) adds up the rows
+    d(w) kept from degree k - 1; a row missing from them is built on the
+    spot.  The top degree's rows are not kept, since nothing reads them.
+    """
+    count, failed, below = 0, None, {}
+    for k in range(top + 1):
+        rows: dict[Key, dict[Key, int]] = {}
+        for u in enumerate_basis(n, k, level=None):
+            count += 1
+            row = boundary_basis(u)._terms
+            if k < top:
+                rows[_key(u.seq)] = row
+            if failed is None:
+                dd: dict[Key, int] = {}
+                for w, c in row.items():
+                    dw = below.get(w)
+                    if dw is None:
+                        dw = boundary(Element._trusted({w: 1}))._terms
+                    _accumulate(dd, dw.items(), c)
+                if dd:
+                    failed = u
+        below = rows
+    return count, failed
+
+
 def run_dsq(cfg: SuiteConfig) -> list[VerificationReport]:
     reports = []
     for n in range(2, min(cfg.max_arity, 5) + 1):
-        cases = [
-            _dsq_case(u)
-            for k in range(0, (3 if n <= 4 else 2) + 1)
-            for u in enumerate_basis(n, k, level=None)
-        ]
-        reports.append(_report(f"dsq.exhaustive-arity-{n}", cases, f"{len(cases)} elements"))
+        count, failed = _dsq_basis(n, 3 if n <= 4 else 2)
+        cases = [] if failed is None else [_dsq_case(failed)]
+        reports.append(_report(f"dsq.exhaustive-arity-{n}", cases, f"{count} elements"))
     rng = _rng(cfg, "dsq")
     cases = []
     for _ in range(cfg.samples):

@@ -551,6 +551,27 @@ class TestMutationSmoke:
         assert code == 1
         assert "FAIL" in out
 
+    def test_flipped_first_deletion_detected_by_dsq(self, capsys, monkeypatch):
+        # Flip the sign of the first deletion of every key: d(d(u)) keeps
+        # twice the term that the flipped pair no longer cancels.
+        true_deletions = operad_module._deletions
+
+        def mutant(key):
+            pairs = true_deletions(key)
+            for w, sign in pairs:
+                yield w, -sign
+                break
+            yield from pairs
+
+        monkeypatch.setattr(operad_module, "_deletions", mutant)
+        code, out, _ = run(capsys, "verify", "dsq", "--samples", "50")
+        assert code == 1
+        assert "FAIL dsq.exhaustive-arity-3" in out
+        witnesses = [line.split("witness: ", 1)[1] for line in out.splitlines() if "witness: " in line]
+        cases = [json.loads(w)["case"] for w in witnesses]
+        assert cases[:3] == ["dsq[(1,2,1,3,1)]", "dsq[(1,2,1,3,1,4)]", "dsq[(1,2,1,3,1,4,5)]"]
+        assert '"difference": "+2*(2,3,1)"' in out
+
     def test_gap_one_filter_oracle_detected(self, capsys, monkeypatch):
         # A filter oracle that lets label(x) + 1 into the window of x keeps
         # the (i, i+1, i) patterns too, such as (1,2,1,3) at arity 3.

@@ -70,6 +70,14 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             c * E(1, 2)
 
+    def test_single_checks_its_one_term(self):
+        u = S(1, 2)
+        assert Element.single(u, 0) == Element.zero()
+        assert not Element.single(u, 0)
+        assert Element.single(u, -3) == Element([(u, -3)])
+        with pytest.raises(TypeError, match="not a Surjection"):
+            Element.single((1, 2))
+
     def test_operators(self):
         x, y = E(1, 2), E(2, 1)
         assert x - y == x + (-y)

@@ -47,6 +47,43 @@ def test_reports_are_reproducible():
     assert first == second
 
 
+def test_dsq_builds_each_basis_differential_once(monkeypatch):
+    # d(d(u)) adds up the rows d(w) of the degree below, so the exhaustive
+    # part deletes from each of its 12,212 basis elements once.
+    import cactusops.operad as operad_module
+
+    true_deletions = operad_module._deletions
+    calls = []
+
+    def counting(key):
+        calls.append(key)
+        return true_deletions(key)
+
+    monkeypatch.setattr(operad_module, "_deletions", counting)
+    reports = run_suite("dsq", SuiteConfig(samples=0))
+    assert all(r.passed for r in reports)
+    assert len(calls) == 12_212
+    assert len(set(calls)) == 12_212
+
+
+def test_dsq_builds_a_row_missing_from_the_degree_below(monkeypatch):
+    # (1,2,1,2) deletes to (1,2,1); left out of the enumerated basis, its
+    # row is built on the spot instead of raising KeyError.
+    import cactusops.suites as suites_module
+    from cactusops.surjections import Surjection
+
+    true_enumerate = suites_module.enumerate_basis
+    gone = Surjection((1, 2, 1))
+
+    def leaky(n, k, level=2):
+        return [u for u in true_enumerate(n, k, level) if u != gone]
+
+    monkeypatch.setattr(suites_module, "enumerate_basis", leaky)
+    reports = run_suite("dsq", SuiteConfig(max_arity=3, samples=0))
+    assert all(r.passed for r in reports)
+    assert reports[0].notes == ("7 elements",)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nope", SMALL)
